@@ -70,7 +70,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--a-R", dest="a_R", default=None)
         p.add_argument("--c", default=None)
         p.add_argument("--lambda", dest="lam", default=None)
-        p.add_argument("--defect", type=int, default=3)
+        # None lets a config file's "ascent" apply; run() falls back to 3
+        p.add_argument("--defect", type=int, default=None)
 
     common(sub.add_parser("verify"))
     common(sub.add_parser("find-params", help="forge a defective parameter set"))
@@ -152,6 +153,8 @@ def run(argv) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         _apply_config_file(args)
+        if args.defect is None:
+            args.defect = 3
         case = _resolve_case(args)
     except (UsageError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -111,35 +111,43 @@ class TriMesh:
         return len(self.triangles)
 
     def edges(self):
-        """All unique edges as sorted vertex pairs, plus per-triangle edges."""
+        """All unique edges as sorted vertex pairs, plus per-triangle edges.
+
+        Returns (uniq, tri_edge_ids, counts): uniq (ne, 2) lexicographically
+        sorted with uniq[:, 0] < uniq[:, 1]; tri_edge_ids (nt, 3) indexes
+        uniq for the local edges (0,1), (1,2), (2,0); counts (ne,) is 1 on
+        the boundary and 2 inside.
+        """
+        nv = len(self.vertices)
         t = self.triangles
-        tri_edges = np.stack(
-            [t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]], axis=1
-        )  # (nt, 3, 2)
-        flat = np.sort(tri_edges.reshape(-1, 2), axis=1)
-        uniq, inv, counts = np.unique(
-            flat, axis=0, return_inverse=True, return_counts=True
+        a, b = t, t[:, [1, 2, 0]]
+        # the int64 key min*nv + max sorts exactly like the pair (min, max)
+        keys = (np.minimum(a, b).astype(np.int64) * nv
+                + np.maximum(a, b)).ravel()
+        ukeys, inv, counts = np.unique(
+            keys, return_inverse=True, return_counts=True
         )
+        uniq = np.column_stack([ukeys // nv, ukeys % nv])
         return uniq, inv.reshape(-1, 3), counts
 
     def boundary_edges(self):
         """(ne, 2) boundary edges with their tags, by the geometric rule."""
         uniq, _, counts = self.edges()
         bnd = uniq[counts == 1]
-        tags = []
-        v = self.vertices
-        for e in bnd:
-            p, q = v[e[0]], v[e[1]]
-            if (abs(p[0]) <= _GEOM_TOL and abs(q[0]) <= _GEOM_TOL) or (
-                abs(p[1]) <= _GEOM_TOL and abs(q[1]) <= _GEOM_TOL
-            ):
-                tags.append(DIRICHLET)
-            elif (
-                abs(p[0] - 1) <= _GEOM_TOL and abs(q[0] - 1) <= _GEOM_TOL
-            ) or (abs(p[1] - 1) <= _GEOM_TOL and abs(q[1] - 1) <= _GEOM_TOL):
-                tags.append(ROBIN)
-            else:
-                raise ValueError(f"boundary edge {e} not on the unit square")
+        p, q = self.vertices[bnd[:, 0]], self.vertices[bnd[:, 1]]
+
+        def on_line(axis, value):
+            return (np.abs(p[:, axis] - value) <= _GEOM_TOL) & (
+                np.abs(q[:, axis] - value) <= _GEOM_TOL
+            )
+
+        dirichlet = on_line(0, 0.0) | on_line(1, 0.0)
+        robin = on_line(0, 1.0) | on_line(1, 1.0)
+        off = ~(dirichlet | robin)
+        if off.any():
+            e = bnd[np.argmax(off)]
+            raise ValueError(f"boundary edge {e} not on the unit square")
+        tags = [DIRICHLET if d else ROBIN for d in dirichlet]
         return bnd, tags
 
     def areas(self) -> np.ndarray:
@@ -202,18 +210,17 @@ def initial_square_triangulation(n0: int) -> TriMesh:
 
 def nvb_refine(mesh: TriMesh, marked) -> TriMesh:
     """Newest-vertex bisection of marked triangles + conforming closure."""
-    marked = set(int(i) for i in marked)
-    if not marked:
+    marked = np.unique(np.asarray(list(marked), dtype=np.int64))
+    if not len(marked):
         return mesh
     t = mesh.triangles
-    nt = len(t)
     uniq_edges, tri_edge_ids, _ = mesh.edges()
     # tri_edge_ids[:, 0] is the refinement edge (v0, v1)
 
     # closure: any triangle touching a marked edge must have its refinement
     # edge marked too
     edge_marked = np.zeros(len(uniq_edges), dtype=bool)
-    edge_marked[tri_edge_ids[sorted(marked), 0]] = True
+    edge_marked[tri_edge_ids[marked, 0]] = True
     while True:
         touches = edge_marked[tri_edge_ids].any(axis=1)
         need = touches & ~edge_marked[tri_edge_ids[:, 0]]
@@ -221,37 +228,41 @@ def nvb_refine(mesh: TriMesh, marked) -> TriMesh:
             break
         edge_marked[tri_edge_ids[need, 0]] = True
 
-    # midpoints for all marked edges
+    # midpoints for all marked edges, numbered in edge order
     nv = len(mesh.vertices)
     marked_ids = np.flatnonzero(edge_marked)
-    mid_of = {int(e): nv + k for k, e in enumerate(marked_ids)}
+    mid_of = np.full(len(uniq_edges), -1, dtype=np.int64)
+    mid_of[marked_ids] = nv + np.arange(len(marked_ids))
     midpoints = 0.5 * (
         mesh.vertices[uniq_edges[marked_ids, 0]]
         + mesh.vertices[uniq_edges[marked_ids, 1]]
     )
     vertices = np.vstack([mesh.vertices, midpoints])
 
-    def edge_id(a, b, lookup={}):
-        return lookup[(min(a, b), max(a, b))]
-
-    edge_lookup = {
-        (int(e[0]), int(e[1])): i for i, e in enumerate(uniq_edges)
-    }
-
-    out = []
-
-    def bisect(tri):
-        v0, v1, v2 = tri
-        key = (min(v0, v1), max(v0, v1))
-        eid = edge_lookup.get(key)
-        if eid is None or not edge_marked[eid]:
-            out.append(tri)
-            return
-        m = mid_of[eid]
-        bisect((v2, v0, m))
-        bisect((v1, v2, m))
-
-    for tri in t:
-        bisect((int(tri[0]), int(tri[1]), int(tri[2])))
-
-    return TriMesh(vertices=vertices, triangles=np.array(out, dtype=np.int64))
+    # bisecting (v0, v1, v2) at m gives A = (v2, v0, m) and B = (v1, v2, m),
+    # whose refinement edges are the parent's edges 2 and 1.  Their other
+    # edges contain m, which no marked edge does, so a triangle splits into
+    # at most four children, emitted in the order A0, A1, B0, B1 (A0 = A and
+    # B0 = B when those are not bisected again).
+    v0, v1, v2 = t[:, 0], t[:, 1], t[:, 2]
+    split0 = edge_marked[tri_edge_ids[:, 0]]
+    split2 = split0 & edge_marked[tri_edge_ids[:, 2]]
+    split1 = split0 & edge_marked[tri_edge_ids[:, 1]]
+    m = mid_of[tri_edge_ids[:, 0]]
+    m2, m1 = mid_of[tri_edge_ids[:, 2]], mid_of[tri_edge_ids[:, 1]]
+    kids = np.empty((len(t), 4, 3), dtype=np.int64)
+    kids[:, 0] = np.where(
+        split2[:, None],
+        np.column_stack([m, v2, m2]),
+        np.column_stack([v2, v0, m]),
+    )
+    kids[:, 1] = np.column_stack([v0, m, m2])
+    kids[:, 2] = np.where(
+        split1[:, None],
+        np.column_stack([m, v1, m1]),
+        np.column_stack([v1, v2, m]),
+    )
+    kids[:, 3] = np.column_stack([v2, m, m1])
+    kids[~split0, 0] = t[~split0]
+    keep = np.column_stack([np.ones(len(t), dtype=bool), split2, split0, split1])
+    return TriMesh(vertices=vertices, triangles=kids[keep])

@@ -147,6 +147,54 @@ def test_estimator_positive_on_true_cluster():
     assert len(field.eta_sq) == mesh.n_triangles
 
 
+# indicators of _tri_cluster(n0=4, p) computed by the earlier implementation,
+# which evaluated the conjugate-adjoint half separately and rebuilt the mesh
+# data for every pair
+_GOLDEN_ETA_P1 = np.array([
+    11.221070363031837, 11.22107036303184, 23.100621396745538,
+    13.730961537571073, 33.91290833514537, 58.70854468892203,
+    68.53988819366256, 95.8507501857611, 13.730961537571153,
+    23.100621396745623, 61.80864156355072, 61.80864156355082,
+    71.74562723168445, 160.10277094846785, 103.88486751272237,
+    189.00016274342366, 58.70854468892214, 33.91290833514541,
+    160.10277094846776, 71.74562723168441, 162.07749227999636,
+    162.0774922799962, 222.47344033463605, 112.05089785711026,
+    95.85075018576137, 68.53988819366282, 189.00016274342377,
+    103.8848675127227, 112.05089785711012, 222.47344033463602,
+    134.7755764591288, 134.77557645912873
+])
+_GOLDEN_ETA_P2 = np.array([
+    0.16508839300685568, 0.1650883930068586, 15.039567817900963,
+    0.42879830015392895, 4.0678106771289615, 19.37200261367265,
+    5.224266419318448, 7.348407807718286, 0.4287983001539185,
+    15.039567817902771, 59.71360923746929, 59.713609237475204,
+    10.377659753330963, 207.55775416646745, 15.31873170077749,
+    216.86597714129877, 19.372002613675026, 4.067810677129551,
+    207.55775416648254, 10.37765975333274, 169.32810815962944,
+    169.32810815964012, 244.22274572692007, 45.111722806506826,
+    7.348407807718917, 5.2242664193187105, 216.8659771413149,
+    15.318731700778804, 45.11172280650586, 244.2227457269376,
+    119.66991886150468, 119.66991886150525
+])
+
+
+@pytest.mark.parametrize("p,golden", [(1, _GOLDEN_ETA_P1),
+                                      (2, _GOLDEN_ETA_P2)])
+def test_estimator_matches_recorded_indicators(p, golden):
+    mesh, pairs, coeff = _tri_cluster(n0=4, p=p)
+    field = residual_estimator(mesh, pairs, coeff, p=p)
+    assert np.max(np.abs(field.eta_sq - golden)) <= 1e-12 * golden.sum()
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_estimator_is_additive_over_pairs(p):
+    mesh, pairs, coeff = _tri_cluster(n0=4, p=p)
+    field = residual_estimator(mesh, pairs, coeff, p=p)
+    summed = sum(residual_estimator(mesh, [pair], coeff, p=p).eta_sq
+                 for pair in pairs)
+    assert np.max(np.abs(field.eta_sq - summed)) <= 1e-12 * field.total
+
+
 def test_adaptive_loop_reduces_error_and_estimator():
     table = adaptive_loop(CASES["regular2d_tri"], theta=0.5, max_dofs=4000)
     rows = table.ok_rows

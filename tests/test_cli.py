@@ -113,3 +113,12 @@ def test_eigenfunction_command_runs(tmp_path, capsys):
     assert code == 0
     assert out.exists()
     assert "rates" in capsys.readouterr().out
+
+
+def test_config_file_ascent_applies_without_defect_flag(tmp_path, capsys):
+    out = tmp_path / "p.json"
+    assert run(["find-params", "--case", "regular1d", "--defect", "2",
+                "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["ascent"] == 2
+    assert run(["verify", "--config", str(out)]) == 0
+    assert "ascent 2" in capsys.readouterr().out
