@@ -57,59 +57,45 @@ def assemble_interval(mesh: IntervalMesh, params: ModelParams, p: int) -> Pencil
     xs = mesh.nodes
     nel = mesh.n_elements
     nnode = nel * p + 1
-    node_x = np.empty(nnode)
-    for k in range(nel):
-        node_x[k * p : (k + 1) * p + 1] = xs[k] + (xs[k + 1] - xs[k]) * np.linspace(
-            0.0, 1.0, p + 1
-        )
+    h = np.diff(xs)
+    ref = np.linspace(0.0, 1.0, p + 1)
+    node_x = np.append(xs[:-1, None] + h[:, None] * ref[None, :p], xs[-1])
+
+    # quadrature segments: one per element; an element cut by the jump at b
+    # keeps [xl, b] in its own slot and appends [b, xr]
+    cut = np.flatnonzero((xs[:-1] < params.b) & (params.b < xs[1:]))
+    el = np.concatenate([np.arange(nel), cut])
+    sl = np.concatenate([xs[:-1], np.full(len(cut), params.b)])
+    sr = np.concatenate([xs[1:], xs[cut + 1]])
+    sr[cut] = params.b
 
     vals, ders = lagrange_basis(p)
     tq, wq = _gauss(p + 1)
+    xq = sl[:, None] + (sr - sl)[:, None] * tq  # (nseg, nq)
+    tref = (xq - xs[el, None]) / h[el, None]
+    phi = vals(tref)  # (p+1, nseg, nq)
+    dphi = ders(tref) / h[el, None]
+    wseg = (sr - sl)[:, None] * wq
+    aq = _coeff_a(params, 0.5 * (sl + sr))
+    Ae = np.einsum("s,sq,isq,jsq->sij", aq, wseg, dphi, dphi)
+    Be = np.einsum("sq,isq,jsq->sij", wseg, phi, phi)
 
-    rows, cols, a_data, b_data = [], [], [], []
-    dofs = np.arange(p + 1)
-    for k in range(nel):
-        xl, xr = xs[k], xs[k + 1]
-        h = xr - xl
-        gdofs = k * p + dofs
-        # split at the jump if it lies strictly inside the element
-        if xl < params.b < xr:
-            segs = [(xl, params.b), (params.b, xr)]
-        else:
-            segs = [(xl, xr)]
-        Ae = np.zeros((p + 1, p + 1), dtype=complex)
-        Be = np.zeros((p + 1, p + 1), dtype=float)
-        for sl, sr in segs:
-            xq = sl + (sr - sl) * tq
-            tref = (xq - xl) / h
-            phi = vals(tref)  # (p+1, nq)
-            dphi = ders(tref) / h
-            aq = _coeff_a(params, 0.5 * (sl + sr) * np.ones_like(xq))
-            wseg = (sr - sl) * wq
-            Ae += np.einsum("q,iq,jq->ij", aq * wseg, dphi, dphi)
-            Be += np.einsum("q,iq,jq->ij", wseg, phi, phi).real
-        rows.append(np.repeat(gdofs, p + 1))
-        cols.append(np.tile(gdofs, p + 1))
-        a_data.append(Ae.ravel())
-        b_data.append(Be.ravel())
-
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
+    gdofs = el[:, None] * p + np.arange(p + 1)
+    rows = np.repeat(gdofs, p + 1, axis=1).ravel()
+    cols = np.tile(gdofs, (1, p + 1)).ravel()
+    # the Robin term c u(1) v(1) is one more triplet at the x = 1 DOF
     A = sp.coo_matrix(
-        (np.concatenate(a_data), (rows, cols)), shape=(nnode, nnode)
-    ).tocsr()
-    B = sp.coo_matrix(
-        (np.concatenate(b_data).astype(complex), (rows, cols)),
+        (np.append(Ae.ravel(), params.c),
+         (np.append(rows, nnode - 1), np.append(cols, nnode - 1))),
         shape=(nnode, nnode),
     ).tocsr()
-    # Robin contribution at x = 1
-    A = A.tolil()
-    A[nnode - 1, nnode - 1] += params.c
-    A = A.tocsr()
+    B = sp.coo_matrix(
+        (Be.ravel().astype(complex), (rows, cols)), shape=(nnode, nnode)
+    ).tocsr()
 
     free = np.arange(1, nnode)  # eliminate the Dirichlet DOF at x = 0
-    A = A[free][:, free].tocsr()
-    B = B[free][:, free].tocsr()
+    A = A[1:, 1:]
+    B = B[1:, 1:]
     meta = {
         "kind": "interval",
         "p": p,

@@ -169,40 +169,38 @@ def assemble_triangles(mesh: TriMesh, coeff: Coefficient2D, p: int) -> Pencil:
         (Be.ravel().astype(complex), (rows, cols)), shape=(ndof, ndof)
     ).tocsr()
 
-    # Robin boundary mass
+    # Robin boundary mass, all Robin edges in one COO
     bnd, tags = mesh.boundary_edges()
-    robin_edges = [e for e, tag in zip(bnd, tags) if tag == ROBIN]
-    if robin_edges and coeff.robin_c != 0:
-        if p == 1:
-            eval_edge = np.stack([1 - _EG_X, _EG_X], axis=0)  # (2, 3)
-        else:
-            eval_edge = np.stack(
-                [
-                    (1 - _EG_X) * (1 - 2 * _EG_X),
-                    _EG_X * (2 * _EG_X - 1),
-                    4 * _EG_X * (1 - _EG_X),
-                ],
-                axis=0,
-            )
-        if p == 2:
-            edge_index = {
-                (int(e[0]), int(e[1])): i for i, e in enumerate(uniq_edges)
-            }
-        r, c_, d = [], [], []
-        nv = len(mesh.vertices)
-        for e in robin_edges:
-            a, b_ = int(e[0]), int(e[1])
-            length = float(np.linalg.norm(v[b_] - v[a]))
-            dofs = [a, b_]
-            if p == 2:
-                dofs.append(nv + edge_index[(min(a, b_), max(a, b_))])
-            Me = np.einsum("q,iq,jq->ij", _EG_W * length, eval_edge, eval_edge)
-            for i, di in enumerate(dofs):
-                for j, dj in enumerate(dofs):
-                    r.append(di)
-                    c_.append(dj)
-                    d.append(coeff.robin_c * Me[i, j])
-        A = A + sp.coo_matrix((d, (r, c_)), shape=(ndof, ndof)).tocsr()
+    robin = np.array(tags) == ROBIN
+    ends = bnd[robin]
+    if p == 1:
+        eval_edge = np.stack([1 - _EG_X, _EG_X], axis=0)  # (2, 3)
+        edge_dofs = ends
+    else:
+        eval_edge = np.stack(
+            [
+                (1 - _EG_X) * (1 - 2 * _EG_X),
+                _EG_X * (2 * _EG_X - 1),
+                4 * _EG_X * (1 - _EG_X),
+            ],
+            axis=0,
+        )
+        # boundary_edges keeps the order of uniq[counts == 1], and unique
+        # edge i has its midpoint DOF at nv + i
+        _, _, counts = mesh.edges()
+        mid = len(v) + np.flatnonzero(counts == 1)[robin]
+        edge_dofs = np.column_stack([ends, mid])
+    length = np.linalg.norm(v[ends[:, 1]] - v[ends[:, 0]], axis=1)
+    Me = np.einsum("q,iq,jq->ij", _EG_W, eval_edge, eval_edge)
+    nde = edge_dofs.shape[1]
+    A = A + sp.coo_matrix(
+        (
+            (coeff.robin_c * length[:, None, None] * Me).ravel(),
+            (np.repeat(edge_dofs, nde, axis=1).ravel(),
+             np.tile(edge_dofs, (1, nde)).ravel()),
+        ),
+        shape=(ndof, ndof),
+    ).tocsr()
 
     on_dirichlet = (np.abs(coords[:, 0]) <= _GEOM_TOL) | (
         np.abs(coords[:, 1]) <= _GEOM_TOL

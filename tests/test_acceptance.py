@@ -43,6 +43,12 @@ def _assert_close(value, target, tol):
     assert abs(value - target) <= tol, f"{value:.3f} not within {target}+-{tol}"
 
 
+def _assert_no_failed_level(table):
+    # fits run over ok_rows only, so a failed level would otherwise pass
+    failed = [r.level for r in table.rows if r.failed]
+    assert not failed, f"{table.case_id}: levels {failed} failed"
+
+
 # ---------------------------------------------------------------------------
 # 1. Both published parameter sets are defective of ascent 3
 # ---------------------------------------------------------------------------
@@ -80,6 +86,7 @@ def test_02_closed_form_determinant_oracle():
 
 def test_03_regular1d_rates_p1():
     table = run_convergence(CASES["regular1d"], 1, 12)
+    _assert_no_failed_level(table)
     rates = table.fitted_rates
     for k in ("err1", "err2", "err3"):
         _assert_close(rates[k], -2 / 3, 0.12)
@@ -89,6 +96,7 @@ def test_03_regular1d_rates_p1():
 def test_03_regular1d_rates_p2():
     # fewer levels: the -4 mean hits the arithmetic floor quickly
     table = run_convergence(CASES["regular1d"], 2, 7)
+    _assert_no_failed_level(table)
     rates = table.fitted_rates
     for k in ("err1", "err2", "err3"):
         _assert_close(rates[k], -4 / 3, 0.12)
@@ -103,6 +111,7 @@ def test_03_regular1d_rates_p2():
 @pytest.mark.parametrize("p", [1, 2])
 def test_04_reduced1d_rates_degree_independent(p):
     table = run_convergence(CASES["reduced1d"], p, 12)
+    _assert_no_failed_level(table)
     rates = table.fitted_rates
     for k in ("err1", "err2", "err3"):
         _assert_close(rates[k], -1 / 3, 0.12)
@@ -117,6 +126,8 @@ def test_04_reduced1d_rates_degree_independent(p):
 def test_05_sensitivity_regimes():
     case = CASES["regular1d"]
     report = sensitivity_study(case, [1e-2, 1e-6], 1, 13)
+    for table in report.tables.values():
+        _assert_no_failed_level(table)
 
     # delta = 1e-2: the cluster splits into well-separated simple roots
     # (cube-root amplification) and the mean no longer tends to the
@@ -172,6 +183,7 @@ def test_07_tensor_grid_rates_exceed_simplicial_band():
     # -1/4: a tensor discretization cannot exhibit the shallow simplicial
     # cluster rates, so the 2D/3D simplicial studies need true triangulations
     table = run_convergence(CASES["regular2d_tensor"], 1, 5)
+    _assert_no_failed_level(table)
     rates = table.fitted_rates
     _assert_close(rates["mean"], -1.0, 0.12)
     for k, v in rates.items():
@@ -283,6 +295,7 @@ def test_09_selfadjoint_degeneration_has_real_spectrum():
 @pytest.mark.parametrize("p,levels", [(1, 10), (2, 8)])
 def test_10_eigenfunction_h1_rates(p, levels):
     table = eigenfunction_convergence(CASES["regular1d"], p, levels)
+    _assert_no_failed_level(table)
     _assert_close(table.fitted_rates["mean"], -float(p), 0.15)
     for row in table.ok_rows:
         # distance to the full jet span never exceeds the single-function one
@@ -296,6 +309,7 @@ def test_10_eigenfunction_h1_rates(p, levels):
 
 def test_06_regular2d_tri_rates_p1():
     table = run_convergence(CASES["regular2d_tri"], 1, 7)
+    _assert_no_failed_level(table)
     rates = table.fitted_rates
     err_slopes = [rates[f"err{j + 1}"] for j in range(9)]
     worst = max(err_slopes)
@@ -308,6 +322,7 @@ def test_06_regular2d_tri_rates_p1():
 
 def test_06_regular2d_tri_rates_p2():
     table = run_convergence(CASES["regular2d_tri"], 2, 6)
+    _assert_no_failed_level(table)
     rates = table.fitted_rates
     err_slopes = [rates[f"err{j + 1}"] for j in range(9)]
     _assert_close(max(err_slopes), -0.4, 0.12)
@@ -321,6 +336,7 @@ def test_06_regular2d_tri_rates_p2():
 
 def test_08_adaptive_mean_rate():
     table = adaptive_loop(CASES["reduced2d_tri"], theta=0.5, max_dofs=200_000)
+    _assert_no_failed_level(table)
     rows = table.ok_rows
     assert len(rows) >= 8
     # adaptive steps grow N by ~1.3x; fit on doubling markers so the

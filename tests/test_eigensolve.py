@@ -48,6 +48,25 @@ def test_shift_equal_to_eigenvalue_is_recovered():
     assert abs(spec.values[idx][0] - 25.0) < 1e-10
 
 
+@pytest.mark.parametrize("p,n_dof", [(1, 256), (2, 128), (1, 16)])
+def test_shift_on_discrete_eigenvalue_returns_cluster(p, n_dof):
+    # sigma exactly on an eigenvalue of a defective FEM cluster: the LU has
+    # a roundoff pivot (P1 N=16 even ends the Krylov space below 3 vectors)
+    # and the result must still be the cluster, to the eps^(1/3) ~ 6e-6
+    # sensitivity of an ascent-3 cluster
+    pencil = assemble_interval(
+        uniform_interval_mesh(n_dof // p, force_node=0.5), REGULAR, p
+    )
+    assert pencil.n == n_dof
+    dense = sla.eig(pencil.A.toarray(), pencil.B.toarray(), right=False)
+    cluster = dense[np.argsort(np.abs(dense - REGULAR_LAMBDA))[:3]]
+    for sigma in cluster:
+        spec = eigs_near(pencil, sigma, 3)
+        got = spec.values[select_cluster(spec, REGULAR_LAMBDA, 3)]
+        for lam in cluster:
+            assert np.min(np.abs(got - lam)) < 1e-5 * abs(lam)
+
+
 def test_shifted_factorization_roundtrip():
     rng = np.random.default_rng(11)
     M = rng.normal(size=(50, 50)) + 1j * rng.normal(size=(50, 50))

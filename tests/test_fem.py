@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from defectbench.analytic1d import ModelParams
 from defectbench.fem import (
@@ -14,6 +15,7 @@ from defectbench.fem import (
     h1_error,
     h1_norm,
 )
+from defectbench.fem.interval import lagrange_basis
 from defectbench.meshing import uniform_interval_mesh
 
 UNIT = ModelParams(b=0.5, a_R=1.0 + 0j, c=0.0 + 0j)
@@ -33,6 +35,54 @@ def test_hand_assembled_p1_two_elements():
     B = pencil.B.toarray()
     assert np.allclose(A, [[4.0, -2.0], [-2.0, 2.0]], atol=1e-14)
     assert np.allclose(B, [[1 / 3, 1 / 12], [1 / 12, 1 / 6]], atol=1e-14)
+
+
+def _assemble_interval_loop(mesh, params, p):
+    """Element-by-element reference: (A, B, node_x) with the x=0 DOF removed."""
+    xs = mesh.nodes
+    nel = mesh.n_elements
+    nnode = nel * p + 1
+    node_x = np.empty(nnode)
+    for k in range(nel):
+        node_x[k * p : (k + 1) * p + 1] = xs[k] + (xs[k + 1] - xs[k]) * \
+            np.linspace(0.0, 1.0, p + 1)
+    vals, ders = lagrange_basis(p)
+    tq, wq = np.polynomial.legendre.leggauss(p + 1)
+    tq, wq = 0.5 * (tq + 1.0), 0.5 * wq
+    A = np.zeros((nnode, nnode), dtype=complex)
+    B = np.zeros((nnode, nnode))
+    for k in range(nel):
+        xl, xr = xs[k], xs[k + 1]
+        h = xr - xl
+        g = k * p + np.arange(p + 1)
+        if xl < params.b < xr:
+            segs = [(xl, params.b), (params.b, xr)]
+        else:
+            segs = [(xl, xr)]
+        for sl, sr in segs:
+            xq = sl + (sr - sl) * tq
+            tref = (xq - xl) / h
+            phi, dphi = vals(tref), ders(tref) / h
+            a = 1.0 if 0.5 * (sl + sr) <= params.b else params.a_R
+            wseg = (sr - sl) * wq
+            A[np.ix_(g, g)] += a * np.einsum("q,iq,jq->ij", wseg, dphi, dphi)
+            B[np.ix_(g, g)] += np.einsum("q,iq,jq->ij", wseg, phi, phi)
+    A[-1, -1] += params.c
+    return A[1:, 1:], B[1:, 1:], node_x
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("b", [0.5, 1 / 3], ids=["aligned", "cut"])
+def test_assembly_matches_element_loop(p, b):
+    params = ModelParams(b=b, a_R=REGULAR.a_R, c=REGULAR.c)
+    mesh = uniform_interval_mesh(8)
+    assert (b in mesh.nodes) == (b == 0.5)
+    pencil = assemble_interval(mesh, params, p)
+    A, B, node_x = _assemble_interval_loop(mesh, params, p)
+    assert sp.issparse(pencil.A) and sp.issparse(pencil.B)
+    for got, ref in ((pencil.A, A), (pencil.B, B)):
+        assert np.max(np.abs(got.toarray() - ref)) <= 1e-14 * np.max(np.abs(ref))
+    assert np.max(np.abs(pencil.meta["node_x"] - node_x)) <= 1e-15
 
 
 def test_robin_constant_enters_last_diagonal_only():

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg as sla
 
 from defectbench.fem import Coefficient2D, assemble_triangles
-from defectbench.meshing import initial_square_triangulation, nvb_refine
+from defectbench.meshing import ROBIN, initial_square_triangulation, nvb_refine
 
 UNIT = Coefficient2D(b=0.5, a_R=1.0 + 0j, robin_c=0.0 + 0j)
 
@@ -82,6 +82,50 @@ def test_robin_term_is_boundary_mass():
     # and it is supported on boundary DOFs only
     interior = np.flatnonzero(~on_robin)
     assert np.max(np.abs(delta[np.ix_(interior, interior)])) == 0.0
+
+
+def _robin_mass_loop(mesh, p, c):
+    """Edge-by-edge reference: c times the Robin edge mass on all DOFs."""
+    v, nv = mesh.vertices, len(mesh.vertices)
+    uniq = mesh.edges()[0]
+    edge_index = {(int(e[0]), int(e[1])): i for i, e in enumerate(uniq)}
+    x, w = np.polynomial.legendre.leggauss(3)
+    x, w = 0.5 * (x + 1.0), 0.5 * w
+    if p == 1:
+        ev = np.stack([1 - x, x])
+    else:
+        ev = np.stack([(1 - x) * (1 - 2 * x), x * (2 * x - 1), 4 * x * (1 - x)])
+    ndof = nv + (len(uniq) if p == 2 else 0)
+    M = np.zeros((ndof, ndof), dtype=complex)
+    for e, tag in zip(*mesh.boundary_edges()):
+        if tag != ROBIN:
+            continue
+        a, b = int(e[0]), int(e[1])
+        dofs = [a, b]
+        if p == 2:
+            dofs.append(nv + edge_index[(min(a, b), max(a, b))])
+        length = float(np.linalg.norm(v[b] - v[a]))
+        M[np.ix_(dofs, dofs)] += c * np.einsum("q,iq,jq->ij", w * length, ev, ev)
+    return M
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_robin_mass_matches_edge_loop_on_graded_mesh(p):
+    # NVB-graded towards the Robin corner (1, 1): Robin edges of many lengths
+    mesh = initial_square_triangulation(3)
+    for _ in range(5):
+        centroid = mesh.vertices[mesh.triangles].mean(axis=1)
+        near = np.hypot(centroid[:, 0] - 1, centroid[:, 1] - 1) < 0.5
+        mesh = nvb_refine(mesh, np.flatnonzero(near))
+    base = assemble_triangles(
+        mesh, Coefficient2D(b=REGULAR.b, a_R=REGULAR.a_R, robin_c=0j), p
+    )
+    robin = assemble_triangles(mesh, REGULAR, p)
+    ref = _robin_mass_loop(mesh, p, REGULAR.robin_c)
+    ref = ref[np.ix_(robin.free, robin.free)]
+    assert np.count_nonzero(ref) > 0
+    delta = (robin.A - base.A).toarray()
+    assert np.max(np.abs(delta - ref)) < 1e-14 * abs(robin.A).max()
 
 
 def test_invalid_degree_rejected():
