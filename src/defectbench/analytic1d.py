@@ -119,15 +119,26 @@ def _vR_coeffs(params: ModelParams, lam):
     return c1, c2
 
 
-def fundamental_solutions(params: ModelParams, lam, x) -> FundamentalValues:
-    """Evaluate v^L, v^R and their derivatives at x (scalar or array)."""
-    muL, muR = _mu(params, lam)
+def _left_solution(params: ModelParams, lam, x):
+    """v^L = sin(mu_L x) and its x-derivative."""
+    muL, _ = _mu(params, lam)
+    x = np.asarray(x, dtype=float)
+    return np.sin(muL * x), muL * np.cos(muL * x)
+
+
+def _right_solution(params: ModelParams, lam, x):
+    """v^R and its x-derivative (coefficients from _vR_coeffs)."""
+    _, muR = _mu(params, lam)
     c1, c2 = _vR_coeffs(params, lam)
     x = np.asarray(x, dtype=float)
-    vL = np.sin(muL * x)
-    dvL = muL * np.cos(muL * x)
-    vR = c1 * np.sin(muR * x) + c2 * np.cos(muR * x)
-    dvR = muR * (c1 * np.cos(muR * x) - c2 * np.sin(muR * x))
+    s, c = np.sin(muR * x), np.cos(muR * x)
+    return c1 * s + c2 * c, muR * (c1 * c - c2 * s)
+
+
+def fundamental_solutions(params: ModelParams, lam, x) -> FundamentalValues:
+    """Evaluate v^L, v^R and their derivatives at x (scalar or array)."""
+    vL, dvL = _left_solution(params, lam, x)
+    vR, dvR = _right_solution(params, lam, x)
     return FundamentalValues(vL=vL, dvL=dvL, vR=vR, dvR=dvR)
 
 
@@ -282,10 +293,10 @@ def polish_eigenvalue(
 class Jet:
     """Generalized-eigenfunction jet w_l = d^{l-1} u / d lambda^{l-1}.
 
-    samples[l-1] evaluates (w_l, w_l') at points of [0,1]; the underlying
-    family u(lambda, x) uses the smooth null-vector parametrization of the
-    transmission matrix and the derivatives come from Cauchy-integral
-    differentiation on a circle around lambda0.
+    value_matrix evaluates (w_l, w_l') for l = 1..order at points of [0,1];
+    the underlying family u(lambda, x) uses the smooth null-vector
+    parametrization of the transmission matrix and the derivatives come
+    from Cauchy-integral differentiation on a circle around lambda0.
     """
 
     params: ModelParams
@@ -296,28 +307,22 @@ class Jet:
     _A1: np.ndarray
     _A2: np.ndarray
 
-    @property
-    def samples(self):
-        return [self._make_sample(ell) for ell in range(1, self.order + 1)]
-
     def _family_values(self, x):
-        """u(lambda_k, x) and du/dx for all contour nodes; shape (k, nx)."""
+        """u(lambda_k, x) and du/dx for all contour nodes; shape (k, nx).
+
+        v^L is evaluated only at x <= b and v^R only at x > b.
+        """
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        lam = self.lam0 + self._contour_z
-        f = fundamental_solutions(self.params, lam[:, None], x[None, :])
-        left = x[None, :] <= self.params.b
-        val = np.where(left, self._A1[:, None] * f.vL, self._A2[:, None] * f.vR)
-        der = np.where(left, self._A1[:, None] * f.dvL, self._A2[:, None] * f.dvR)
+        lam = (self.lam0 + self._contour_z)[:, None]
+        left = x <= self.params.b
+        val = np.empty((len(lam), len(x)), dtype=complex)
+        der = np.empty_like(val)
+        vL, dvL = _left_solution(self.params, lam, x[left])
+        vR, dvR = _right_solution(self.params, lam, x[~left])
+        a1, a2 = self._A1[:, None], self._A2[:, None]
+        val[:, left], der[:, left] = a1 * vL, a1 * dvL
+        val[:, ~left], der[:, ~left] = a2 * vR, a2 * dvR
         return val, der
-
-    def _make_sample(self, ell: int):
-        w = self._weights[ell - 1]
-
-        def evaluate(x):
-            val, der = self._family_values(x)
-            return w @ val, w @ der
-
-        return evaluate
 
     def value_matrix(self, x):
         """(order, nx) arrays of w_l values and derivatives at points x."""

@@ -10,9 +10,9 @@ longer approximates once the split dominates).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import permutations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from ..analytic1d import ModelParams
 from ..eigensolve import eigs_near, mean_of_cluster, select_cluster
@@ -48,14 +48,15 @@ def _perturbed_params(case: BenchmarkCase, delta: float) -> ModelParams:
 def _pair_to(reference: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Reorder values so values[j] is the match of reference[j].
 
-    Uses optimal assignment; flags ambiguity only when a competing match is
-    both close (distance ratio < 2) and would change the paired value by
-    more than 1e-8 relative.
+    Uses the optimal assignment, the minimum total distance over all
+    matchings (clusters are small: m = 3 in 1D); flags ambiguity only when
+    a competing match is both close (distance ratio < 2) and would change
+    the paired value by more than 1e-8 relative.
     """
     dist = np.abs(reference[:, None] - values[None, :])
-    rows, cols = linear_sum_assignment(dist)
-    order = np.empty(len(reference), dtype=int)
-    order[rows] = cols
+    rows = np.arange(len(reference))
+    order = np.array(min(permutations(range(len(values)), len(reference)),
+                         key=lambda cols: dist[rows, cols].sum()))
     for j in range(len(reference)):
         d = dist[j]
         chosen = d[order[j]]

@@ -81,39 +81,33 @@ def _one_norm(M) -> float:
 
 def _b_normalize(vecs: np.ndarray, B) -> np.ndarray:
     """v^H B v = 1 with the largest component rotated to positive real."""
-    out = np.empty_like(vecs)
-    for j in range(vecs.shape[1]):
-        v = vecs[:, j]
-        nrm = np.sqrt(np.real(np.vdot(v, B @ v)))
-        v = v / nrm
-        k = int(np.argmax(np.abs(v)))
-        phase = v[k] / abs(v[k])
-        out[:, j] = v / phase
-    return out
+    v = vecs / np.sqrt(np.real(np.sum(vecs.conj() * (B @ vecs), axis=0)))
+    top = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    return v / (top / np.abs(top))
 
 
 def _arnoldi(op, v0: np.ndarray, k: int):
-    """Modified Gram-Schmidt Arnoldi with one reorthogonalization pass."""
-    n = len(v0)
-    V = np.empty((n, k + 1), dtype=complex)
+    """Arnoldi with classical Gram-Schmidt applied twice (CGS2).
+
+    The basis is stored as rows, so V[:j+1] is contiguous and each
+    projection is one matrix-vector product that does not copy the basis.
+    Returns the basis as columns.
+    """
+    V = np.empty((k + 1, len(v0)), dtype=complex)
     H = np.zeros((k + 1, k), dtype=complex)
-    V[:, 0] = v0 / np.linalg.norm(v0)
+    V[0] = v0 / np.linalg.norm(v0)
     for j in range(k):
-        w = op(V[:, j])
-        for i in range(j + 1):
-            h = np.vdot(V[:, i], w)
-            H[i, j] += h
-            w -= h * V[:, i]
-        for i in range(j + 1):  # reorthogonalize
-            h = np.vdot(V[:, i], w)
-            H[i, j] += h
-            w -= h * V[:, i]
+        w = op(V[j])
+        for _ in range(2):  # "twice is enough"
+            h = (V[: j + 1] @ w.conj()).conj()
+            H[: j + 1, j] += h
+            w -= h @ V[: j + 1]
         beta = np.linalg.norm(w)
         H[j + 1, j] = beta
         if beta < 1e-14 * max(1.0, np.abs(H).max()):
-            return V[:, : j + 1], H[: j + 1, : j + 1]
-        V[:, j + 1] = w / beta
-    return V[:, :k], H[:k, :k]
+            return V[: j + 1].T, H[: j + 1, : j + 1]
+        V[j + 1] = w / beta
+    return V[:k].T, H[:k, :k]
 
 
 def _refine_block(op, vecs: np.ndarray, sigma: complex, iters: int = 3):
@@ -126,11 +120,9 @@ def _refine_block(op, vecs: np.ndarray, sigma: complex, iters: int = 3):
     values from the small projected operator restores it.
     """
     Z = np.linalg.qr(vecs)[0]
-    m = Z.shape[1]
     for _ in range(iters):
-        W = np.column_stack([op(Z[:, j]) for j in range(m)])
-        Z = np.linalg.qr(W)[0]
-    S = Z.conj().T @ np.column_stack([op(Z[:, j]) for j in range(m)])
+        Z = np.linalg.qr(op(Z))[0]
+    S = Z.conj().T @ op(Z)
     theta, Y = np.linalg.eig(S)
     if np.any(theta == 0):
         return None
@@ -150,7 +142,7 @@ def eigs_near(pencil: Pencil, sigma: complex, m: int,
         sigma = sigma + 1e-8 * (1.0 + abs(sigma))
         fact = factorize_shifted(pencil, sigma)
 
-    op = lambda v: fact.solve(B @ v)
+    op = lambda v: fact.solve(B @ v)  # a vector or an n x m block
     normA, normB = _one_norm(A), _one_norm(B)
 
     ones = np.ones(n, dtype=complex)
@@ -176,12 +168,9 @@ def eigs_near(pencil: Pencil, sigma: complex, m: int,
         # (one huge direction makes the rest look invariant): the missing
         # pairs count as unconverged, so the restart and the nudge follow
         res = np.full(m, np.inf)
-        for j in range(len(vals)):
-            v = vecs[:, j]
-            r = A @ v - vals[j] * (B @ v)
-            res[j] = np.linalg.norm(r) / (
-                (normA + abs(vals[j]) * normB) * np.linalg.norm(v)
-            )
+        res[: len(vals)] = np.linalg.norm(A @ vecs - (B @ vecs) * vals, axis=0) / (
+            (normA + np.abs(vals) * normB) * np.linalg.norm(vecs, axis=0)
+        )
         best = (vals, vecs, res)
         if np.all(res <= tol):
             break

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .interval import Function1D
+from .interval import Function1D, _gauss
 
 __all__ = ["h1_error", "h1_norm"]
 
@@ -21,18 +21,13 @@ class SingularAlignmentError(RuntimeError):
 
 def _quad_points(func: Function1D):
     """Per-element Gauss points of order 2p+2, split at the coefficient jump."""
-    mesh, p = func.mesh, func.p
+    nodes = func.mesh.nodes
     b = func.pencil.meta["params"].b
-    nq = p + 2  # Gauss with p+2 points integrates degree 2p+3 >= 2p+2
-    gx, gw = np.polynomial.legendre.leggauss(nq)
-    gx, gw = 0.5 * (gx + 1.0), 0.5 * gw
-    pts, wts = [], []
-    for xl, xr in zip(mesh.nodes[:-1], mesh.nodes[1:]):
-        segs = [(xl, b), (b, xr)] if xl < b < xr else [(xl, xr)]
-        for sl, sr in segs:
-            pts.append(sl + (sr - sl) * gx)
-            wts.append((sr - sl) * gw)
-    return np.concatenate(pts), np.concatenate(wts)
+    gx, gw = _gauss(func.p + 2)  # p+2 points integrate degree 2p+3 >= 2p+2
+    cut = np.flatnonzero((nodes[:-1] < b) & (b < nodes[1:]))
+    ends = np.insert(nodes, cut + 1, b)
+    h = np.diff(ends)[:, None]
+    return (ends[:-1, None] + h * gx).ravel(), (h * gw).ravel()
 
 
 def h1_norm(func: Function1D) -> float:
@@ -41,28 +36,30 @@ def h1_norm(func: Function1D) -> float:
     return float(np.sqrt(np.sum(w * (np.abs(v) ** 2 + np.abs(d) ** 2))))
 
 
-def h1_error(u_h: Function1D, w, alignment_space=None) -> float:
-    """min over gamma of ||sum gamma_i w_i - u_h||_{H1(0,1)}.
+def h1_error(u_h: Function1D, span) -> np.ndarray:
+    """Distances d_j = min over gamma of ||sum_{i<=j} gamma_i w_i - u_h||_{H1(0,1)}.
 
-    Each evaluator maps points x to a (values, derivatives) pair.  With a
-    single evaluator this is scalar alignment.
+    span maps points x to a (values, derivatives) pair of (k, nx) arrays,
+    one row per w_i (an (nx,) pair is k = 1).  Returns d_1..d_k, the
+    distances to the nested spans span{w_1..w_j}, from one QR of the
+    quadrature-weighted design.
     """
-    if alignment_space is None:
-        alignment_space = [w]
     x, wq = _quad_points(u_h)
     sq = np.sqrt(wq)
     uv, ud = u_h(x)
     rhs = np.concatenate([sq * uv, sq * ud])
-    cols = []
-    for wi in alignment_space:
-        vv, vd = wi(x)
-        cols.append(np.concatenate([sq * vv, sq * vd]))
-    design = np.column_stack(cols)
-    gram = design.conj().T @ design
-    cond = np.linalg.cond(gram)
+    vv, vd = span(x)
+    design = np.hstack([np.atleast_2d(vv) * sq, np.atleast_2d(vd) * sq]).T
+    Q, R = np.linalg.qr(design)
+    cond = np.linalg.cond(R) ** 2  # cond of the Gram matrix design^H design
     if not np.isfinite(cond) or cond > 1e15:
         raise SingularAlignmentError(
             f"alignment Gram matrix is singular (cond {cond:.3e})"
         )
-    gamma, *_ = np.linalg.lstsq(design, rhs, rcond=None)
-    return float(np.linalg.norm(design @ gamma - rhs))
+    # residuals of the prefix solutions R_j gamma = (Q^H rhs)_j are taken
+    # against the design itself: Q spans its columns only to eps * cond
+    coef = Q.conj().T @ rhs
+    return np.array([
+        np.linalg.norm(design[:, :j] @ np.linalg.solve(R[:j, :j], coef[:j]) - rhs)
+        for j in range(1, len(coef) + 1)
+    ])

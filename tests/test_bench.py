@@ -1,16 +1,22 @@
 """Benchmark drivers: rate fits, marking, estimator, references, CSV output."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.optimize import linear_sum_assignment
 
+from defectbench.analytic1d import Jet
 from defectbench.bench import (
     CASES,
     EstimatorField,
     NoFitPointsError,
+    PairingAmbiguityError,
     adaptive_loop,
     compute_reference_cluster,
     dorfler_mark,
+    eigenfunction_convergence,
     fit_rate,
     residual_estimator,
     run_convergence,
@@ -24,6 +30,7 @@ from defectbench.bench.convergence import (
     solver_floor,
 )
 from defectbench.bench.io import HEADER, RATES_HEADER, format_float
+from defectbench.bench.sensitivity import _pair_to
 from defectbench.eigensolve import eigs_near, select_cluster
 from defectbench.fem import Coefficient2D, assemble_tensor, assemble_triangles
 from defectbench.meshing import initial_square_triangulation
@@ -230,11 +237,69 @@ def test_reference_cluster_consistent_with_unperturbed_target():
     assert np.max(np.abs(refs - target)) < 1e-4 * abs(target)
 
 
+def _pair_to_lsa(reference, values):
+    """Reference: the earlier pairing by scipy's linear_sum_assignment."""
+    dist = np.abs(reference[:, None] - values[None, :])
+    rows, cols = linear_sum_assignment(dist)
+    order = np.empty(len(reference), dtype=int)
+    order[rows] = cols
+    for j in range(len(reference)):
+        d = dist[j]
+        chosen = d[order[j]]
+        rival = min(d[[k for k in range(len(values)) if k != order[j]]])
+        if rival < 2.0 * chosen:
+            spread = abs(values[order[j]] - values[int(np.argmin(d))])
+            if spread > 1e-8 * max(1.0, abs(reference[j])):
+                raise PairingAmbiguityError(
+                    f"match for {reference[j]} ambiguous: "
+                    f"best {chosen:.3e}, rival {rival:.3e}"
+                )
+    return values[order]
+
+
+def test_pair_to_matches_linear_sum_assignment():
+    rng = np.random.default_rng(7)
+    paired = 0
+    for trial in range(300):
+        ref = rng.normal(size=3) + 1j * rng.normal(size=3)
+        noise = (0.05, 0.3, 1.0)[trial % 3]
+        vals = rng.permutation(ref) + noise * (
+            rng.normal(size=3) + 1j * rng.normal(size=3))
+        try:
+            want = _pair_to_lsa(ref, vals)
+        except PairingAmbiguityError as exc:
+            # the message names the chosen distance, so it checks the matching
+            with pytest.raises(PairingAmbiguityError, match=re.escape(str(exc))):
+                _pair_to(ref, vals)
+            continue
+        assert np.array_equal(_pair_to(ref, vals), want)
+        paired += 1
+    assert 50 <= paired <= 250  # both outcomes are exercised
+
+
 def test_sensitivity_separation_grows_with_delta():
     case = CASES["regular1d"]
     report = sensitivity_study(case, [1e-2, 1e-4], 1, 4)
     # cube-root splitting: larger perturbations separate the cluster more
     assert report.separations[1e-2] > report.separations[1e-4] > 0
+
+
+# ------------------------------------------------------------ eigenfunction
+
+
+def test_eigenfunction_study_evaluates_jet_once_per_level(monkeypatch):
+    calls = []
+    family_values = Jet._family_values
+
+    def counted(self, x):
+        calls.append(len(x))
+        return family_values(self, x)
+
+    monkeypatch.setattr(Jet, "_family_values", counted)
+    table = eigenfunction_convergence(CASES["regular1d"], 1, 3)
+    assert len(calls) == 3
+    assert not any(r.failed for r in table.rows)
+    assert all(r.errors[1] <= r.errors[0] for r in table.rows)
 
 
 # ----------------------------------------------------------------- CSV files

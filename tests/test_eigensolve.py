@@ -7,6 +7,7 @@ import scipy.sparse as sp
 
 from defectbench.analytic1d import ModelParams
 from defectbench.eigensolve import (
+    _arnoldi,
     eigs_near,
     factorize_shifted,
     mean_of_cluster,
@@ -65,6 +66,74 @@ def test_shift_on_discrete_eigenvalue_returns_cluster(p, n_dof):
         got = spec.values[select_cluster(spec, REGULAR_LAMBDA, 3)]
         for lam in cluster:
             assert np.min(np.abs(got - lam)) < 1e-5 * abs(lam)
+
+
+def _arnoldi_mgs(op, v0, k):
+    """Reference: the earlier modified Gram-Schmidt Arnoldi, twice, by column."""
+    n = len(v0)
+    V = np.empty((n, k + 1), dtype=complex)
+    H = np.zeros((k + 1, k), dtype=complex)
+    V[:, 0] = v0 / np.linalg.norm(v0)
+    for j in range(k):
+        w = op(V[:, j])
+        for _ in range(2):
+            for i in range(j + 1):
+                h = np.vdot(V[:, i], w)
+                H[i, j] += h
+                w -= h * V[:, i]
+        beta = np.linalg.norm(w)
+        H[j + 1, j] = beta
+        if beta < 1e-14 * max(1.0, np.abs(H).max()):
+            return V[:, : j + 1], H[: j + 1, : j + 1]
+        V[:, j + 1] = w / beta
+    return V[:, :k], H[:k, :k]
+
+
+def _regular_p1(n_dof):
+    return assemble_interval(uniform_interval_mesh(n_dof, force_node=0.5),
+                             REGULAR, 1)
+
+
+def _shift_invert(pencil, sigma):
+    fact = factorize_shifted(pencil, sigma)
+    return lambda v: fact.solve(pencil.B @ v)
+
+
+def test_arnoldi_basis_orthonormal_and_relation_holds():
+    op = _shift_invert(_regular_p1(256), REGULAR_LAMBDA)
+    v0 = np.ones(256, dtype=complex)
+    V, H = _arnoldi(op, v0, 40)
+    assert V.shape == (256, 40) and H.shape == (40, 40)
+    assert np.linalg.norm(V.conj().T @ V - np.eye(40)) < 1e-12
+    # op(V_{k-1}) = V_k H_{k,k-1}: the last returned column has no successor
+    lhs = np.column_stack([op(V[:, j]) for j in range(39)])
+    assert np.linalg.norm(lhs - V @ H[:, :39]) < 1e-12 * np.linalg.norm(lhs)
+    # the cluster Ritz values match the column MGS reference to the
+    # eps^(1/3) ~ 6e-6 sensitivity of an ascent-3 cluster
+    def cluster(H):
+        theta = np.linalg.eigvals(H)
+        theta = theta[np.argsort(-np.abs(theta))[:3]]
+        return np.sort_complex(REGULAR_LAMBDA + 1.0 / theta)
+
+    ref = cluster(_arnoldi_mgs(op, v0, 40)[1])
+    assert np.max(np.abs(cluster(H) - ref)) < 1e-5 * abs(REGULAR_LAMBDA)
+
+
+def test_arnoldi_early_exit_on_exact_eigenvalue_shift():
+    # regular1d P1 N = 16 with sigma on a discrete eigenvalue: the Krylov
+    # space becomes invariant after j + 1 < k vectors
+    pencil = _regular_p1(16)
+    dense = sla.eig(pencil.A.toarray(), pencil.B.toarray(), right=False)
+    cluster = dense[np.argsort(np.abs(dense - REGULAR_LAMBDA))[:3]]
+    for sigma in cluster:
+        op = _shift_invert(pencil, sigma)
+        v0 = np.ones(16, dtype=complex)
+        V, H = _arnoldi(op, v0, 16)
+        V_ref, _ = _arnoldi_mgs(op, v0, 16)
+        j1 = V_ref.shape[1]
+        assert j1 < 16
+        assert V.shape == (16, j1) and H.shape == (j1, j1)
+        assert np.linalg.norm(V.conj().T @ V - np.eye(j1)) < 1e-12
 
 
 def test_shifted_factorization_roundtrip():

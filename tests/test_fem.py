@@ -5,7 +5,8 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from defectbench.analytic1d import ModelParams
+from defectbench.analytic1d import ModelParams, eigenfunction_jet
+from defectbench.eigensolve import eigs_near, select_cluster
 from defectbench.fem import (
     Function1D,
     Pencil,
@@ -15,6 +16,7 @@ from defectbench.fem import (
     h1_error,
     h1_norm,
 )
+from defectbench.fem.error_norms import SingularAlignmentError, _quad_points
 from defectbench.fem.interval import lagrange_basis
 from defectbench.meshing import uniform_interval_mesh
 
@@ -25,6 +27,7 @@ REGULAR = ModelParams(
     a_R=0.1069220800406739 + 0.08937533852238478j,
     c=-0.9634059612381408 + 0.5989684988897067j,
 )
+REGULAR_LAMBDA = 5.250721274740938 + 6.750931815875402j
 
 
 def test_hand_assembled_p1_two_elements():
@@ -188,16 +191,101 @@ def test_h1_error_against_exact_evaluator():
         return x.astype(complex), np.ones_like(x, dtype=complex)
 
     # identical function up to any complex scale: aligned error vanishes
-    assert h1_error(u_h, linear) < 1e-12
+    assert h1_error(u_h, linear)[0] < 1e-12
 
     def sine(x):
         x = np.asarray(x, dtype=float)
         return np.sin(np.pi * x) + 0j, np.pi * np.cos(np.pi * x) + 0j
 
-    err_single = h1_error(u_h, sine)
-    err_span = h1_error(u_h, None, alignment_space=[sine, linear])
+    def sine_linear(x):
+        (sv, sd), (lv, ld) = sine(x), linear(x)
+        return np.stack([sv, lv]), np.stack([sd, ld])
+
+    err_single = h1_error(u_h, sine)[0]
+    err_span = h1_error(u_h, sine_linear)[-1]
     assert err_span <= err_single + 1e-14
     assert err_span < 1e-12  # linear member matches exactly
+
+
+def _quad_points_loop(func):
+    """Reference: the earlier per-element segment loop."""
+    b = func.pencil.meta["params"].b
+    gx, gw = np.polynomial.legendre.leggauss(func.p + 2)
+    gx, gw = 0.5 * (gx + 1.0), 0.5 * gw
+    pts, wts = [], []
+    for xl, xr in zip(func.mesh.nodes[:-1], func.mesh.nodes[1:]):
+        segs = [(xl, b), (b, xr)] if xl < b < xr else [(xl, xr)]
+        for sl, sr in segs:
+            pts.append(sl + (sr - sl) * gx)
+            wts.append((sr - sl) * gw)
+    return np.concatenate(pts), np.concatenate(wts)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("b", [0.5, 1 / 3], ids=["aligned", "cut"])
+def test_quad_points_match_element_loop(p, b):
+    params = ModelParams(b=b, a_R=REGULAR.a_R, c=REGULAR.c)
+    pencil = assemble_interval(uniform_interval_mesh(8), params, p)
+    u_h = Function1D(pencil, np.zeros(pencil.n, dtype=complex))
+    x, w = _quad_points(u_h)
+    x_ref, w_ref = _quad_points_loop(u_h)
+    assert len(x) == (p + 2) * (8 + (b != 0.5))
+    assert np.array_equal(x, x_ref) and np.array_equal(w, w_ref)
+
+
+def _h1_error_lstsq(u_h, evaluators):
+    """Reference: the earlier lstsq distance to span{evaluators}."""
+    x, wq = _quad_points_loop(u_h)
+    sq = np.sqrt(wq)
+    uv, ud = u_h(x)
+    rhs = np.concatenate([sq * uv, sq * ud])
+    cols = []
+    for wi in evaluators:
+        vv, vd = wi(x)
+        cols.append(np.concatenate([sq * vv, sq * vd]))
+    design = np.column_stack(cols)
+    gamma, *_ = np.linalg.lstsq(design, rhs, rcond=None)
+    return float(np.linalg.norm(design @ gamma - rhs))
+
+
+@pytest.mark.parametrize("p,n_el", [(1, 16), (1, 256), (1, 1024), (2, 16), (2, 512)])
+def test_nested_h1_distances_match_prefix_lstsq(p, n_el):
+    # one QR gives the distances to span{w_1..w_j} for every j; each must
+    # equal a separate least-squares solve on that prefix
+    pencil = assemble_interval(uniform_interval_mesh(n_el, force_node=0.5),
+                               REGULAR, p)
+    spec = eigs_near(pencil, REGULAR_LAMBDA, 3)
+    jet = eigenfunction_jet(REGULAR, REGULAR_LAMBDA, 3)
+    members = [
+        lambda x, j=j: tuple(a[j] for a in jet.value_matrix(x)) for j in range(3)
+    ]
+    for i in select_cluster(spec, REGULAR_LAMBDA, 3):
+        u_h = Function1D(pencil, spec.vectors[:, i])
+        dist = h1_error(u_h, jet.value_matrix)
+        ref = [_h1_error_lstsq(u_h, members[: j + 1]) for j in range(3)]
+        assert np.all(np.abs(dist - ref) <= 1e-12 * np.array(ref))
+        assert np.all(np.diff(dist) <= 1e-14)
+
+
+def test_repeated_span_member_raises_singular_alignment():
+    pencil = assemble_interval(uniform_interval_mesh(16, force_node=0.5),
+                               REGULAR, 1)
+    spec = eigs_near(pencil, REGULAR_LAMBDA, 3)
+    u_h = Function1D(pencil, spec.vectors[:, 0])
+    jet = eigenfunction_jet(REGULAR, REGULAR_LAMBDA, 3)
+
+    def repeated(x, eps=0.0):
+        # w_1 again, perturbed by eps times the linear function x
+        vals, ders = jet.value_matrix(x)
+        return (np.vstack([vals, vals[:1] + eps * x]),
+                np.vstack([ders, ders[:1] + eps]))
+
+    with pytest.raises(SingularAlignmentError):
+        h1_error(u_h, repeated)
+    # the bound is on cond(Gram) = cond(R)^2: at eps = 1e-8 cond(R) is
+    # about 1e9, far below 1e15, but its square is above
+    with pytest.raises(SingularAlignmentError):
+        h1_error(u_h, lambda x: repeated(x, 1e-8))
 
 
 def test_pencil_shape_validation():
