@@ -23,7 +23,6 @@ __all__ = [
     "Jet",
     "ContourNotConvergedError",
     "NoRootHereError",
-    "NewtonDivergedError",
     "DegenerateParametrizationError",
     "fundamental_solutions",
     "transmission_matrix",
@@ -31,7 +30,6 @@ __all__ = [
     "taylor_coefficients",
     "default_radius",
     "ascent_of",
-    "polish_eigenvalue",
     "eigenfunction_jet",
 ]
 
@@ -46,10 +44,6 @@ class ContourNotConvergedError(RuntimeError):
 
 class NoRootHereError(RuntimeError):
     """ascent_of was called at a point that is not a root of det M."""
-
-
-class NewtonDivergedError(RuntimeError):
-    """polish_eigenvalue did not converge."""
 
 
 class DegenerateParametrizationError(RuntimeError):
@@ -238,54 +232,6 @@ def ascent_of(
             return ell
     raise NoRootHereError(
         f"no nonvanishing Taylor coefficient up to order {max_order}"
-    )
-
-
-def _det_scale(params: ModelParams, lam0: complex, nodes: int = 32) -> float:
-    """max |det M| on the radius-1 circle around lam0."""
-    theta = 2.0 * np.pi * np.arange(nodes) / nodes
-    return float(np.max(np.abs(det_transmission(params, lam0 + np.exp(1j * theta)))))
-
-
-def polish_eigenvalue(
-    params: ModelParams,
-    lambda_guess: complex,
-    max_steps: int = 50,
-    rtol: float = 1e-12,
-) -> complex:
-    """Newton-refine a root of det M, derivative from the contour rule.
-
-    Converged when |det M| <= rtol * (max |det M| on a radius-1 circle).
-    """
-    if lambda_guess == 0:
-        raise ValueError("lambda = 0 is not supported")
-    lam = complex(lambda_guess)
-    for _ in range(max_steps):
-        scale = _det_scale(params, lam)
-        f0 = det_transmission(params, lam)
-        if abs(f0) <= rtol * scale:
-            return lam
-        rho = default_radius(lam)
-        gamma = taylor_coefficients(params, lam, 1, rho)
-        if gamma[1] == 0:
-            raise NewtonDivergedError("vanishing derivative of det M")
-        step = -gamma[0] / gamma[1]
-        # plain damping: halve the step while |det| does not decrease
-        lam_new = lam + step
-        for _ in range(20):
-            if abs(det_transmission(params, lam_new)) < abs(f0):
-                break
-            step /= 2.0
-            lam_new = lam + step
-        lam = lam_new
-        if abs(lam) > 1e6:
-            raise NewtonDivergedError(f"iterate left plausibility region: {lam}")
-    scale = _det_scale(params, lam)
-    if abs(det_transmission(params, lam)) <= rtol * scale:
-        return lam
-    raise NewtonDivergedError(
-        f"no convergence within {max_steps} steps (|det| = "
-        f"{abs(det_transmission(params, lam)):.3e}, scale = {scale:.3e})"
     )
 
 

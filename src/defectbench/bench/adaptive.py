@@ -21,12 +21,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..eigensolve import eigs_near, mean_of_cluster, select_cluster
+from ..eigensolve import eigs_near, select_cluster
 from ..fem import Coefficient2D, assemble_triangles
 from ..fem.triangles import _EG_W, _EG_X, _QPTS, _QWTS, _basis, _dof_layout
 from ..meshing import ROBIN, TriMesh, initial_square_triangulation, nvb_refine
 from .cases import BenchmarkCase
-from .convergence import ConvergenceRow, ConvergenceTable, solver_floor
+from .convergence import (
+    LEVEL_ERRORS,
+    ConvergenceTable,
+    _tri_coefficient,
+    cluster_row,
+    failed_row,
+)
 
 __all__ = [
     "EstimatorField",
@@ -84,7 +90,7 @@ class _EstimatorMesh:
     @classmethod
     def build(cls, mesh: TriMesh, coeff: Coefficient2D, p: int):
         vals, grads = _basis(p)
-        _, tri_dofs, _ = _dof_layout(mesh, p)
+        _, tri_dofs = _dof_layout(mesh, p)
         v, t = mesh.vertices, mesh.triangles
         nt = len(t)
 
@@ -247,8 +253,7 @@ def adaptive_loop(case: BenchmarkCase, theta: float = 0.5,
     """Solve -> estimate -> mark -> refine until the DOF budget is spent."""
     if case.family != "tri":
         raise ValueError("adaptive loop runs on triangular cases")
-    par = case.config.params
-    coeff = Coefficient2D(b=par.b, a_R=par.a_R, robin_c=par.c)
+    coeff = _tri_coefficient(case)
     target, m = case.target, case.m_alg
     table = ConvergenceTable(case_id=case.id, p=p, target=target)
 
@@ -260,16 +265,11 @@ def adaptive_loop(case: BenchmarkCase, theta: float = 0.5,
             break
         try:
             spectrum = eigs_near(pencil, target, m, tol=tol)
-        except Exception:
-            table.rows.append(
-                ConvergenceRow(level, pencil.n, pencil.meta["h"],
-                               np.array([]), np.array([]), 0j, np.nan,
-                               failed=True)
-            )
+        except LEVEL_ERRORS as exc:
+            table.rows.append(failed_row(level, exc))
             break
         idx = select_cluster(spectrum, target, m)
         values = spectrum.values[idx]
-        mean = mean_of_cluster(values)
         ndof_full = len(pencil.meta["coords"])
         pairs = []
         for s, j in enumerate(idx):
@@ -277,19 +277,8 @@ def adaptive_loop(case: BenchmarkCase, theta: float = 0.5,
             full[pencil.free] = spectrum.vectors[:, j]
             pairs.append((values[s], full))
         fld = residual_estimator(mesh, pairs, coeff, p)
-        table.rows.append(
-            ConvergenceRow(
-                level=level,
-                N=pencil.n,
-                h=pencil.meta["h"],
-                values=values,
-                errors=np.sort(np.abs(target - values))[::-1],
-                mean_value=mean,
-                mean_error=float(abs(target - mean)),
-                eta_total=np.sqrt(fld.total),
-                floor=solver_floor(pencil),
-            )
-        )
+        table.rows.append(cluster_row(level, pencil, target, values,
+                                      eta_total=np.sqrt(fld.total)))
         marked = dorfler_mark(fld, theta)
         if not marked:
             break

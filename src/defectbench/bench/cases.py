@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..analytic1d import EigenConfig, ModelParams
+from ..fem import interval, triangles
 
 __all__ = ["BenchmarkCase", "CASES", "REGULAR_CONFIG", "REDUCED_CONFIG"]
 
@@ -53,6 +54,11 @@ class BenchmarkCase:
     @property
     def m_alg(self) -> int:
         return 3**self.dimension
+
+    @property
+    def degrees(self) -> tuple:
+        """Element degrees the case's mesh family assembles."""
+        return triangles.DEGREES if self.family == "tri" else interval.DEGREES
 
 
 CASES = {

@@ -5,6 +5,11 @@ m_alg eigenvalues nearest the analytic target, the per-eigenvalue errors
 (sorted descending so that rank k is comparable across levels), and the
 error of the cluster mean, which converges at the full rate regardless of
 the defect.
+
+All four study drivers build their rows here: ``cluster_row`` for a solved
+level and ``failed_row`` for a level that raised one of ``LEVEL_ERRORS``,
+the solver's declared numerical failures.  Any other exception is a
+programming or usage error and propagates.
 """
 
 from __future__ import annotations
@@ -13,14 +18,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..eigensolve import eigs_near, mean_of_cluster, select_cluster
+from ..eigensolve import (
+    EigsNotConvergedError,
+    SingularShiftError,
+    eigs_near,
+    mean_of_cluster,
+    select_cluster,
+)
 from ..fem import Coefficient2D, assemble_interval, assemble_tensor, assemble_triangles
+from ..fem.error_norms import SingularAlignmentError
 from ..meshing import initial_square_triangulation, nvb_refine, uniform_interval_mesh
 from .cases import BenchmarkCase
 
 __all__ = [
     "ConvergenceRow",
     "ConvergenceTable",
+    "LEVEL_ERRORS",
+    "cluster_row",
+    "failed_row",
     "run_convergence",
     "fit_rate",
     "build_pencil_1d",
@@ -29,6 +44,9 @@ __all__ = [
 
 INITIAL_INTERVAL_ELEMENTS = 8
 INITIAL_SQUARE_DIVISIONS = 4
+
+# the numerical failures a level may end in; they become failed rows
+LEVEL_ERRORS = (EigsNotConvergedError, SingularShiftError, SingularAlignmentError)
 
 
 class NoFitPointsError(RuntimeError):
@@ -49,6 +67,7 @@ class ConvergenceRow:
     # solver noise floor at this level: errors below it are plateau, not
     # discretization error (measured model: 100 * eps * ||A||_1 / ||B||_1)
     floor: float = 0.0
+    reason: str = ""  # "<ExceptionType>: <message>" of a failed level
 
 
 @dataclass
@@ -144,13 +163,30 @@ def _tri_coefficient(case: BenchmarkCase) -> Coefficient2D:
     return Coefficient2D(b=par.b, a_R=par.a_R, robin_c=par.c)
 
 
-def _solve_level(pencil, target: complex, m: int, tol: float):
-    spectrum = eigs_near(pencil, target, m, tol=tol)
-    idx = select_cluster(spectrum, target, m)
-    values = spectrum.values[idx]
-    errors = np.sort(np.abs(target - values))[::-1]
-    mean = mean_of_cluster(values)
-    return spectrum, values, errors, mean
+def cluster_row(level: int, pencil, target: complex, cluster,
+                **fields) -> ConvergenceRow:
+    """Row of a solved level from its pencil and its eigenvalue cluster.
+
+    N, h and the cluster mean are always derived here.  By default the row
+    holds the cluster in solver order, its errors against target sorted
+    descending, the mean's error and the solver floor; a driver overrides
+    any of these through fields.
+    """
+    mean = mean_of_cluster(cluster)
+    fields.setdefault("values", cluster)
+    fields.setdefault("errors", np.sort(np.abs(target - cluster))[::-1])
+    fields.setdefault("mean_error", float(abs(target - mean)))
+    if "floor" not in fields:
+        fields["floor"] = solver_floor(pencil)
+    return ConvergenceRow(level=level, N=pencil.n, h=pencil.meta["h"],
+                          mean_value=mean, **fields)
+
+
+def failed_row(level: int, exc: BaseException) -> ConvergenceRow:
+    """Row of a level that ended in one of LEVEL_ERRORS, with the cause."""
+    return ConvergenceRow(level, 0, 0.0, np.array([]), np.array([]), 0j,
+                          np.nan, failed=True,
+                          reason=f"{type(exc).__name__}: {exc}")
 
 
 def run_convergence(case: BenchmarkCase, p: int, levels: int,
@@ -164,42 +200,28 @@ def run_convergence(case: BenchmarkCase, p: int, levels: int,
     if case.family == "tri":
         mesh = initial_square_triangulation(INITIAL_SQUARE_DIVISIONS)
     for level in range(levels):
+        if case.family == "interval":
+            pencil = build_pencil_1d(case, p, level_elements(case, level))
+        elif case.family == "tensor":
+            pencil = assemble_tensor(
+                build_pencil_1d(case, p, level_elements(case, level)),
+                case.dimension,
+            )
+        else:
+            if level > 0:
+                # two all-marked bisection sweeps halve every edge, so each
+                # level is a true h-halving (a single sweep only splits the
+                # refinement edges and makes consecutive levels alternate
+                # between two mesh patterns)
+                for _ in range(2):
+                    mesh = nvb_refine(mesh, range(mesh.n_triangles))
+            pencil = assemble_triangles(mesh, _tri_coefficient(case), p)
         try:
-            if case.family == "interval":
-                n = level_elements(case, level)
-                pencil = build_pencil_1d(case, p, n)
-            elif case.family == "tensor":
-                n = level_elements(case, level)
-                pencil = assemble_tensor(
-                    build_pencil_1d(case, p, n), case.dimension
-                )
-            else:
-                if level > 0:
-                    # two all-marked bisection sweeps halve every edge, so
-                    # each level is a true h-halving (a single sweep only
-                    # splits the refinement edges and makes consecutive
-                    # levels alternate between two mesh patterns)
-                    for _ in range(2):
-                        mesh = nvb_refine(mesh, range(mesh.n_triangles))
-                pencil = assemble_triangles(mesh, _tri_coefficient(case), p)
-            _, values, errors, mean = _solve_level(pencil, target, m, tol)
-        except Exception:
-            table.rows.append(
-                ConvergenceRow(level, 0, 0.0, np.array([]), np.array([]),
-                               0j, np.nan, failed=True)
-            )
+            spectrum = eigs_near(pencil, target, m, tol=tol)
+        except LEVEL_ERRORS as exc:
+            table.rows.append(failed_row(level, exc))
             continue
-        table.rows.append(
-            ConvergenceRow(
-                level=level,
-                N=pencil.n,
-                h=pencil.meta["h"],
-                values=values,
-                errors=errors,
-                mean_value=mean,
-                mean_error=float(abs(target - mean)),
-                floor=solver_floor(pencil),
-            )
-        )
+        values = spectrum.values[select_cluster(spectrum, target, m)]
+        table.rows.append(cluster_row(level, pencil, target, values))
     table.fit_all(k_last)
     return table

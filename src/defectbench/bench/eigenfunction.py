@@ -10,13 +10,15 @@ from __future__ import annotations
 import numpy as np
 
 from ..analytic1d import eigenfunction_jet
-from ..eigensolve import eigs_near, mean_of_cluster, select_cluster
+from ..eigensolve import eigs_near, select_cluster
 from ..fem import Function1D, h1_error
 from .cases import BenchmarkCase
 from .convergence import (
-    ConvergenceRow,
+    LEVEL_ERRORS,
     ConvergenceTable,
     build_pencil_1d,
+    cluster_row,
+    failed_row,
     level_elements,
 )
 
@@ -39,31 +41,20 @@ def eigenfunction_convergence(case: BenchmarkCase, p: int, levels: int,
     jet = eigenfunction_jet(cfg.params, cfg.lam, cfg.ascent)
     table = ConvergenceTable(case_id=case.id, p=p, target=cfg.lam)
     for level in range(levels):
-        n = level_elements(case, level)
+        pencil = build_pencil_1d(case, p, level_elements(case, level))
         try:
-            pencil = build_pencil_1d(case, p, n)
             spectrum = eigs_near(pencil, case.target, case.m_alg, tol=tol)
             idx = select_cluster(spectrum, case.target, case.m_alg)
             best = idx[int(np.argmin(spectrum.residuals[idx]))]
             u_h = Function1D(pencil, spectrum.vectors[:, best])
             dist = h1_error(u_h, jet.value_matrix)
-        except Exception:
-            table.rows.append(
-                ConvergenceRow(level, 0, 0.0, np.array([]), np.array([]),
-                               0j, np.nan, failed=True)
-            )
+        except LEVEL_ERRORS as exc:
+            table.rows.append(failed_row(level, exc))
             continue
-        values = spectrum.values[idx]
-        table.rows.append(
-            ConvergenceRow(
-                level=level,
-                N=pencil.n,
-                h=pencil.meta["h"],
-                values=values,
-                errors=np.array([dist[0], dist[-1]]),
-                mean_value=mean_of_cluster(values),
-                mean_error=dist[-1],
-            )
-        )
+        table.rows.append(cluster_row(
+            level, pencil, cfg.lam, spectrum.values[idx],
+            errors=np.array([dist[0], dist[-1]]), mean_error=dist[-1],
+            floor=0.0,
+        ))
     table.fit_all()
     return table

@@ -18,9 +18,11 @@ from ..analytic1d import ModelParams
 from ..eigensolve import eigs_near, mean_of_cluster, select_cluster
 from .cases import BenchmarkCase
 from .convergence import (
-    ConvergenceRow,
+    LEVEL_ERRORS,
     ConvergenceTable,
     build_pencil_1d,
+    cluster_row,
+    failed_row,
     level_elements,
     solver_floor,
 )
@@ -163,37 +165,24 @@ def sensitivity_study(case: BenchmarkCase, deltas, p: int, levels: int,
             case_id=f"{case.id}_delta{delta:g}", p=p, target=target
         )
         for level in range(levels):
-            n = level_elements(case, level)
+            pencil = build_pencil_1d(case, p, level_elements(case, level),
+                                     params=params)
             try:
-                pencil = build_pencil_1d(case, p, n, params=params)
                 spectrum = eigs_near(pencil, target, m, tol=tol)
-                idx = select_cluster(spectrum, target, m)
-                values = spectrum.values[idx]
+            except LEVEL_ERRORS as exc:
+                table.rows.append(failed_row(level, exc))
+                continue
+            values = spectrum.values[select_cluster(spectrum, target, m)]
+            try:
                 paired = _pair_to(refs, values)
             except PairingAmbiguityError:
                 # coarse levels cannot distinguish a barely split cluster;
                 # fall back to sorted pairing which is error-equivalent there
                 paired = _sorted_pairing(refs, values)
-            except Exception:
-                table.rows.append(
-                    ConvergenceRow(level, 0, 0.0, np.array([]), np.array([]),
-                                   0j, np.nan, failed=True)
-                )
-                continue
-            errors = np.sort(np.abs(refs - paired))[::-1]
-            mean = mean_of_cluster(values)
-            table.rows.append(
-                ConvergenceRow(
-                    level=level,
-                    N=pencil.n,
-                    h=pencil.meta["h"],
-                    values=paired,
-                    errors=errors,
-                    mean_value=mean,
-                    mean_error=float(abs(target - mean)),
-                    floor=solver_floor(pencil),
-                )
-            )
+            table.rows.append(cluster_row(
+                level, pencil, target, values, values=paired,
+                errors=np.sort(np.abs(refs - paired))[::-1],
+            ))
         table.fit_all()
         report.tables[delta] = table
     return report

@@ -2,6 +2,8 @@
 
 Commands: verify, find-params, convergence, sensitivity, adaptive,
 eigenfunction.  Exit codes: 0 success, 1 computation failure, 2 usage error.
+A study whose level failed writes its good rows, names each failed level on
+stderr and exits 1.
 """
 
 from __future__ import annotations
@@ -11,8 +13,6 @@ import json
 import os
 import re
 import sys
-
-import numpy as np
 
 from .analytic1d import EigenConfig, ModelParams
 from .bench import (
@@ -134,15 +134,40 @@ class UsageError(Exception):
     pass
 
 
+# mesh family each study command needs; convergence runs on every family
+_STUDY_FAMILY = {"convergence": None, "sensitivity": "interval",
+                 "adaptive": "tri", "eigenfunction": "interval"}
+
+
+def _check_study(command: str, case: BenchmarkCase, p: int):
+    """Reject a case or degree the study cannot run, before any level."""
+    family = _STUDY_FAMILY[command]
+    if family is not None and case.family != family:
+        raise UsageError(f"{command} needs a {family} case, not {case.id}")
+    if p not in case.degrees:
+        raise UsageError(f"case {case.id} assembles degrees "
+                         f"{case.degrees}, not --p {p}")
+
+
 def _rates_path(out: str) -> str:
     root, _ = os.path.splitext(out)
     return root + ".rates.csv"
 
 
-def _emit(table_or_tables, out):
+def _rates(table) -> str:
+    return ", ".join(f"{k}={v:.3f}" for k, v in table.fitted_rates.items())
+
+
+def _finish(tables, out) -> int:
+    """Write the good rows, name every failed level on stderr, exit code."""
     if out:
-        write_table_csv(out, table_or_tables)
-        write_rates_csv(_rates_path(out), table_or_tables)
+        write_table_csv(out, tables)
+        write_rates_csv(_rates_path(out), tables)
+    failed = [(t.case_id, r) for t in tables for r in t.rows if r.failed]
+    for case_id, row in failed:
+        print(f"{case_id} level {row.level} failed: {row.reason}",
+              file=sys.stderr)
+    return 1 if failed else 0
 
 
 def run(argv) -> int:
@@ -156,6 +181,8 @@ def run(argv) -> int:
         if args.defect is None:
             args.defect = 3
         case = _resolve_case(args)
+        if args.command in _STUDY_FAMILY:
+            _check_study(args.command, case, args.p)
     except (UsageError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -191,41 +218,30 @@ def run(argv) -> int:
 
         if args.command == "convergence":
             table = run_convergence(case, args.p, args.levels)
-            _emit(table, args.out)
-            print(f"case {case.id} p={args.p}: rates " + ", ".join(
-                f"{k}={v:.3f}" for k, v in table.fitted_rates.items()))
-            return 0
+            print(f"case {case.id} p={args.p}: rates {_rates(table)}")
+            return _finish([table], args.out)
 
         if args.command == "sensitivity":
             deltas = [float(d) for d in str(args.deltas).split(",") if d]
             if not deltas:
                 raise UsageError("--deltas must list positive values")
             report = sensitivity_study(case, deltas, args.p, args.levels)
-            _emit(list(report.tables.values()), args.out)
             for d in deltas:
-                t = report.tables[d]
-                print(
-                    f"delta={d:g}: separation {report.separations[d]:.3f}, "
-                    + ", ".join(f"{k}={v:.3f}" for k, v in
-                                t.fitted_rates.items())
-                )
-            return 0
+                print(f"delta={d:g}: separation {report.separations[d]:.3f}, "
+                      + _rates(report.tables[d]))
+            return _finish(list(report.tables.values()), args.out)
 
         if args.command == "adaptive":
             table = adaptive_loop(case, theta=args.theta,
                                   max_dofs=args.max_dofs, p=args.p)
-            _emit(table, args.out)
-            print(f"case {case.id} adaptive: rates " + ", ".join(
-                f"{k}={v:.3f}" for k, v in table.fitted_rates.items()))
-            return 0
+            print(f"case {case.id} adaptive: rates {_rates(table)}")
+            return _finish([table], args.out)
 
         if args.command == "eigenfunction":
             table = eigenfunction_convergence(case, args.p, args.levels)
-            _emit(table, args.out)
             print(f"case {case.id} eigenfunction p={args.p}: rates "
-                  + ", ".join(f"{k}={v:.3f}"
-                              for k, v in table.fitted_rates.items()))
-            return 0
+                  f"{_rates(table)}")
+            return _finish([table], args.out)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,20 +1,17 @@
 """Complex sesquilinear-form pencils: 1D, tensorized, and triangular."""
 
-from .common import Pencil, coercivity_shift, dump_matrix
-from .error_norms import h1_error, h1_norm
+from .common import Pencil
+from .error_norms import h1_error
 from .interval import Function1D, assemble_interval
 from .tensor import assemble_tensor
 from .triangles import Coefficient2D, assemble_triangles
 
 __all__ = [
     "Pencil",
-    "coercivity_shift",
-    "dump_matrix",
     "assemble_interval",
     "assemble_tensor",
     "assemble_triangles",
     "Coefficient2D",
     "Function1D",
     "h1_error",
-    "h1_norm",
 ]

@@ -1,13 +1,12 @@
-"""Shared pencil container and the coercivity shift."""
+"""Shared pencil container."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["Pencil", "coercivity_shift", "dump_matrix"]
+__all__ = ["Pencil"]
 
 
 @dataclass
@@ -31,24 +30,3 @@ class Pencil:
     def __post_init__(self):
         if self.A.shape != self.B.shape or self.A.shape[0] != self.A.shape[1]:
             raise ValueError("A and B must be square and of equal size")
-
-
-def coercivity_shift(alpha0: float, c0: float, C_trace: float,
-                     has_dirichlet: bool) -> float:
-    """Shift making the form coercive (reported, not used by the solver)."""
-    if alpha0 <= 0 or C_trace <= 0:
-        raise ValueError("need alpha0 > 0 and C_trace > 0")
-    if c0 >= 0:
-        return 0.0 if has_dirichlet else alpha0
-    return alpha0 + C_trace * c0**2 / alpha0
-
-
-def dump_matrix(M: sp.spmatrix) -> str:
-    """Coordinate text dump `i j re im`, sorted by (i, j)."""
-    coo = M.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    lines = [
-        f"{coo.row[k]} {coo.col[k]} {coo.data[k].real!r} {coo.data[k].imag!r}"
-        for k in order
-    ]
-    return "\n".join(lines) + "\n"

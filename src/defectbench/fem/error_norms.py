@@ -12,7 +12,7 @@ import numpy as np
 
 from .interval import Function1D, _gauss
 
-__all__ = ["h1_error", "h1_norm"]
+__all__ = ["h1_error"]
 
 
 class SingularAlignmentError(RuntimeError):
@@ -28,12 +28,6 @@ def _quad_points(func: Function1D):
     ends = np.insert(nodes, cut + 1, b)
     h = np.diff(ends)[:, None]
     return (ends[:-1, None] + h * gx).ravel(), (h * gw).ravel()
-
-
-def h1_norm(func: Function1D) -> float:
-    x, w = _quad_points(func)
-    v, d = func(x)
-    return float(np.sqrt(np.sum(w * (np.abs(v) ** 2 + np.abs(d) ** 2))))
 
 
 def h1_error(u_h: Function1D, span) -> np.ndarray:

@@ -18,6 +18,8 @@ from .common import Pencil
 
 __all__ = ["assemble_interval", "Function1D", "lagrange_basis"]
 
+DEGREES = (1, 2, 3)
+
 
 def lagrange_basis(p: int):
     """Lagrange basis on equispaced nodes of [0,1]; returns (vals, ders).
@@ -52,7 +54,7 @@ def _coeff_a(params: ModelParams, x):
 
 def assemble_interval(mesh: IntervalMesh, params: ModelParams, p: int) -> Pencil:
     """Assemble the pencil (A, B) for degree p Lagrange elements."""
-    if p not in (1, 2, 3):
+    if p not in DEGREES:
         raise ValueError(f"degree must be 1, 2 or 3, got {p}")
     xs = mesh.nodes
     nel = mesh.n_elements

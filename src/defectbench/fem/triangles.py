@@ -21,6 +21,7 @@ from .common import Pencil
 __all__ = ["Coefficient2D", "assemble_triangles"]
 
 _GEOM_TOL = 1e-12
+DEGREES = (1, 2)
 
 # Dunavant degree-4 rule: 6 points, weights sum to 1 on the reference triangle
 _QA1, _QW1 = 0.445948490915965, 0.223381589678011
@@ -110,20 +111,20 @@ def _dof_layout(mesh: TriMesh, p: int):
     nv = len(mesh.vertices)
     t = mesh.triangles
     if p == 1:
-        return mesh.vertices.copy(), t.copy(), None
+        return mesh.vertices.copy(), t.copy()
     uniq, tri_edge_ids, _ = mesh.edges()
     mid = 0.5 * (mesh.vertices[uniq[:, 0]] + mesh.vertices[uniq[:, 1]])
     coords = np.vstack([mesh.vertices, mid])
     # local edges (0,1), (1,2), (2,0) follow the local midpoint order
     tri_dofs = np.hstack([t, nv + tri_edge_ids])
-    return coords, tri_dofs, uniq
+    return coords, tri_dofs
 
 
 def assemble_triangles(mesh: TriMesh, coeff: Coefficient2D, p: int) -> Pencil:
-    if p not in (1, 2):
+    if p not in DEGREES:
         raise ValueError(f"degree must be 1 or 2, got {p}")
     vals, grads = _basis(p)
-    coords, tri_dofs, uniq_edges = _dof_layout(mesh, p)
+    coords, tri_dofs = _dof_layout(mesh, p)
     ndof = len(coords)
     ndl = tri_dofs.shape[1]
     v = mesh.vertices
@@ -216,11 +217,7 @@ def assemble_triangles(mesh: TriMesh, coeff: Coefficient2D, p: int) -> Pencil:
         "kind": "tri",
         "p": p,
         "dim": 2,
-        "mesh": mesh,
-        "coeff": coeff,
         "coords": coords,
-        "tri_dofs": tri_dofs,
-        "uniq_edges": uniq_edges,
         "h": float(np.max(np.stack([e01, e12, e20]))),
     }
     return Pencil(A=A, B=B, free=free, meta=meta)

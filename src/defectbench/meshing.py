@@ -1,4 +1,4 @@
-"""Interval meshes, tensor grids, and NVB-refined triangulations.
+"""Interval meshes and NVB-refined triangulations.
 
 Triangles are stored as vertex-index triples (v0, v1, v2) where the
 refinement edge is (v0, v1) and v2 is the newest vertex.  Newest-vertex
@@ -16,12 +16,9 @@ import numpy as np
 __all__ = [
     "IntervalMesh",
     "TriMesh",
-    "TensorGrid",
     "uniform_interval_mesh",
-    "refine_interval",
     "initial_square_triangulation",
     "nvb_refine",
-    "tensor_grid",
 ]
 
 DIRICHLET = "DIRICHLET"
@@ -32,7 +29,6 @@ _GEOM_TOL = 1e-12
 @dataclass(frozen=True)
 class IntervalMesh:
     nodes: np.ndarray
-    jump_aligned: bool = False
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -54,45 +50,12 @@ def uniform_interval_mesh(n: int, force_node: float | None = None) -> IntervalMe
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     nodes = np.linspace(0.0, 1.0, n + 1)
-    aligned_at = None
     if force_node is not None:
         if not 0.0 < force_node < 1.0:
             raise ValueError("force_node must be in (0,1)")
         if not np.any(np.abs(nodes - force_node) <= _GEOM_TOL):
             nodes = np.sort(np.append(nodes, force_node))
-        aligned_at = force_node
-    mesh = IntervalMesh(nodes=nodes, jump_aligned=aligned_at is not None)
-    return mesh
-
-
-def contains_node(mesh: IntervalMesh, x: float, tol: float = _GEOM_TOL) -> bool:
-    return bool(np.any(np.abs(mesh.nodes - x) <= tol))
-
-
-def refine_interval(mesh: IntervalMesh) -> IntervalMesh:
-    """Bisect every element at its midpoint."""
-    nodes = mesh.nodes
-    mids = 0.5 * (nodes[:-1] + nodes[1:])
-    new = np.sort(np.concatenate([nodes, mids]))
-    return IntervalMesh(nodes=new, jump_aligned=mesh.jump_aligned)
-
-
-@dataclass(frozen=True)
-class TensorGrid:
-    dim: int
-    axis_mesh: IntervalMesh
-
-    def __post_init__(self):
-        if self.dim not in (2, 3):
-            raise ValueError(f"dim must be 2 or 3, got {self.dim}")
-
-    @property
-    def n_points(self) -> int:
-        return len(self.axis_mesh.nodes) ** self.dim
-
-
-def tensor_grid(dim: int, axis: IntervalMesh) -> TensorGrid:
-    return TensorGrid(dim=dim, axis_mesh=axis)
+    return IntervalMesh(nodes=nodes)
 
 
 @dataclass(frozen=True)
@@ -156,30 +119,6 @@ class TriMesh:
         d1 = v[t[:, 1]] - v[t[:, 0]]
         d2 = v[t[:, 2]] - v[t[:, 0]]
         return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-
-    def min_angle(self) -> float:
-        v = self.vertices
-        t = self.triangles
-        angles = []
-        for i in range(3):
-            a = v[t[:, i]]
-            b = v[t[:, (i + 1) % 3]]
-            c = v[t[:, (i + 2) % 3]]
-            u, w = b - a, c - a
-            cosang = np.sum(u * w, axis=1) / (
-                np.linalg.norm(u, axis=1) * np.linalg.norm(w, axis=1)
-            )
-            angles.append(np.arccos(np.clip(cosang, -1.0, 1.0)))
-        return float(np.min(angles))
-
-    def dump(self) -> str:
-        """Line-oriented debug format: v x y / t i j k r / e i j TAG."""
-        lines = [f"v {p[0]!r} {p[1]!r}" for p in self.vertices]
-        # refinement edge is (v0, v1): local index 0
-        lines += [f"t {t[0]} {t[1]} {t[2]} 0" for t in self.triangles]
-        bnd, tags = self.boundary_edges()
-        lines += [f"e {e[0]} {e[1]} {tag}" for e, tag in zip(bnd, tags)]
-        return "\n".join(lines) + "\n"
 
 
 def initial_square_triangulation(n0: int) -> TriMesh:

@@ -15,8 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic1d import (
+    ContourNotConvergedError,
     EigenConfig,
     ModelParams,
+    NoRootHereError,
     ascent_of,
     taylor_coefficients,
 )
@@ -229,7 +231,7 @@ def verify_configuration(config: EigenConfig) -> ForgeReport:
     try:
         certified = ascent_of(params, lam)
         ok = certified == nu
-    except Exception:
+    except (NoRootHereError, ContourNotConvergedError):
         certified = 0
         ok = False
     verified = EigenConfig(params=params, lam=lam, ascent=max(certified, 1),

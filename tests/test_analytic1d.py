@@ -10,7 +10,6 @@ from defectbench.analytic1d import (
     det_transmission,
     eigenfunction_jet,
     fundamental_solutions,
-    polish_eigenvalue,
     scaled_magnitudes,
     taylor_coefficients,
     transmission_matrix,
@@ -88,17 +87,6 @@ def test_scaled_magnitudes_of_defective_point():
     scale = mags.max()
     assert np.all(mags[:3] / scale < 1e-6)
     assert mags[3] / scale > 1e-3
-
-
-def test_polish_recovers_simple_root():
-    lam0 = (np.pi / 2) ** 2
-    out = polish_eigenvalue(SELFADJOINT, lam0 * (1 + 1e-3))
-    assert abs(out - lam0) < 1e-10 * lam0
-
-
-def test_polish_keeps_published_defective_root():
-    out = polish_eigenvalue(REGULAR, REGULAR_LAMBDA)
-    assert abs(out - REGULAR_LAMBDA) < 1e-8 * abs(REGULAR_LAMBDA)
 
 
 def test_jet_solves_ode_hierarchy():

@@ -30,8 +30,9 @@ from defectbench.bench.convergence import (
     solver_floor,
 )
 from defectbench.bench.io import HEADER, RATES_HEADER, format_float
+from defectbench.bench import adaptive, convergence, eigenfunction, sensitivity
 from defectbench.bench.sensitivity import _pair_to
-from defectbench.eigensolve import eigs_near, select_cluster
+from defectbench.eigensolve import EigsNotConvergedError, eigs_near, select_cluster
 from defectbench.fem import Coefficient2D, assemble_tensor, assemble_triangles
 from defectbench.meshing import initial_square_triangulation
 
@@ -300,6 +301,66 @@ def test_eigenfunction_study_evaluates_jet_once_per_level(monkeypatch):
     assert len(calls) == 3
     assert not any(r.failed for r in table.rows)
     assert all(r.errors[1] <= r.errors[0] for r in table.rows)
+
+
+# ------------------------------------------------------------ failed levels
+
+# (module whose eigs_near the driver calls, run of the driver on a small case)
+DRIVERS = {
+    "convergence": (convergence,
+                    lambda: run_convergence(CASES["regular1d"], 1, 4)),
+    "sensitivity": (sensitivity,
+                    lambda: sensitivity_study(CASES["regular1d"], [1e-2], 1, 4)
+                    .tables[1e-2]),
+    "eigenfunction": (eigenfunction,
+                      lambda: eigenfunction_convergence(CASES["regular1d"], 1, 4)),
+    "adaptive": (adaptive,
+                 lambda: adaptive_loop(CASES["regular2d_tri"], max_dofs=400)),
+}
+
+
+def _failing_eigs_near(monkeypatch, module, exc, at_call=2):
+    """Make the driver's eigs_near raise exc on its at_call-th call."""
+    calls = []
+
+    def fake(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == at_call:
+            raise exc
+        return eigs_near(*args, **kwargs)
+
+    monkeypatch.setattr(module, "eigs_near", fake)
+    # the sensitivity references are not under test; they stay off the
+    # driver's eigs_near and cost nothing
+    monkeypatch.setattr(sensitivity, "compute_reference_cluster",
+                        lambda case, delta: np.full(case.m_alg, case.target))
+
+
+@pytest.mark.parametrize("driver", sorted(DRIVERS))
+def test_declared_solver_error_becomes_failed_row_with_reason(monkeypatch,
+                                                              driver):
+    module, run = DRIVERS[driver]
+    _failing_eigs_near(monkeypatch, module,
+                       EigsNotConvergedError("residuals above 1.0e-09"))
+    table = run()
+    failed = [r for r in table.rows if r.failed]
+    assert [r.level for r in failed] == [1]
+    assert failed[0].reason == "EigsNotConvergedError: residuals above 1.0e-09"
+    good = table.ok_rows
+    assert all(r.reason == "" and len(r.values) for r in good)
+    if driver == "adaptive":
+        # the adaptive mesh cannot grow past a failed level
+        assert [r.level for r in table.rows] == [0, 1]
+    else:
+        assert [r.level for r in good] == [0, 2, 3]
+
+
+@pytest.mark.parametrize("driver", sorted(DRIVERS))
+def test_programming_error_propagates_out_of_driver(monkeypatch, driver):
+    module, run = DRIVERS[driver]
+    _failing_eigs_near(monkeypatch, module, TypeError("bad argument"))
+    with pytest.raises(TypeError, match="bad argument"):
+        run()
 
 
 # ----------------------------------------------------------------- CSV files

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from defectbench.bench import convergence
 from defectbench.cli import parse_complex, run
+from defectbench.eigensolve import EigsNotConvergedError, eigs_near
 
 
 # ------------------------------------------------------------ complex parsing
@@ -122,3 +124,38 @@ def test_config_file_ascent_applies_without_defect_flag(tmp_path, capsys):
     assert json.loads(out.read_text())["ascent"] == 2
     assert run(["verify", "--config", str(out)]) == 0
     assert "ascent 2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["convergence", "--case", "regular2d_tri", "--p", "3"],
+    ["adaptive", "--case", "reduced2d_tri", "--p", "3"],
+    ["adaptive", "--case", "regular1d"],
+    ["eigenfunction", "--case", "regular2d_tri"],
+    ["sensitivity", "--case", "regular2d_tensor"],
+])
+def test_study_the_case_cannot_run_is_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "t.csv"
+    assert run(argv + ["--levels", "3", "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_failed_level_is_named_and_exits_1(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def fake(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise EigsNotConvergedError("residuals above 1.0e-09")
+        return eigs_near(*args, **kwargs)
+
+    monkeypatch.setattr(convergence, "eigs_near", fake)
+    out = tmp_path / "conv.csv"
+    code = run(["convergence", "--case", "regular1d", "--p", "1",
+                "--levels", "4", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert ("regular1d level 1 failed: EigsNotConvergedError: "
+            "residuals above 1.0e-09") in err
+    # the good levels are still written
+    assert len(out.read_text().strip().split("\n")) == 1 + 3 * 4

@@ -12,9 +12,7 @@ from defectbench.fem import (
     Pencil,
     assemble_interval,
     assemble_tensor,
-    coercivity_shift,
     h1_error,
-    h1_norm,
 )
 from defectbench.fem.error_norms import SingularAlignmentError, _quad_points
 from defectbench.fem.interval import lagrange_basis
@@ -158,16 +156,6 @@ def test_tensor_size_guard():
         assemble_tensor(p1d, 3)
 
 
-def test_coercivity_shift_values():
-    assert coercivity_shift(1.0, 0.5, 2.0, has_dirichlet=True) == 0.0
-    assert coercivity_shift(1.0, 0.5, 2.0, has_dirichlet=False) == 1.0
-    # negative Robin constant: shift alpha0 + C c0^2 / alpha0
-    assert coercivity_shift(2.0, -1.0, 3.0, has_dirichlet=True) == \
-        pytest.approx(2.0 + 3.0 / 2.0)
-    with pytest.raises(ValueError):
-        coercivity_shift(0.0, 1.0, 1.0, True)
-
-
 def test_function1d_reproduces_p1_interpolant():
     pencil = assemble_interval(uniform_interval_mesh(8), UNIT, 1)
     node_x = pencil.meta["node_x"]
@@ -178,7 +166,10 @@ def test_function1d_reproduces_p1_interpolant():
     assert np.max(np.abs(v - x)) < 1e-13
     assert np.max(np.abs(d - 1.0)) < 1e-12
     # H1 norm of x on (0,1): sqrt(1/3 + 1)
-    assert h1_norm(u_h) == pytest.approx(np.sqrt(4 / 3))
+    xq, wq = _quad_points(u_h)
+    vq, dq = u_h(xq)
+    norm = np.sqrt(np.sum(wq * (np.abs(vq) ** 2 + np.abs(dq) ** 2)))
+    assert norm == pytest.approx(np.sqrt(4 / 3))
 
 
 def test_h1_error_against_exact_evaluator():
