@@ -33,9 +33,11 @@ __all__ = [
     "eigenfunction_jet",
 ]
 
-DEFAULT_NODES = 64
+NODES = 64  # trapezoid nodes of the first pass; doubled up to MAX_NODES
+MAX_NODES = 16 * NODES
 ASCENT_TOL = 1e-6
 CERT_RTOL = 1e-8
+MAX_ORDER = 6  # highest zero order ascent_of looks for
 
 
 class ContourNotConvergedError(RuntimeError):
@@ -159,49 +161,56 @@ def default_radius(lam0: complex) -> float:
     return max(1e-2, 1e-3 * abs(lam0))
 
 
-def _trapezoid_taylor(f_on_circle, lam0, n, radius, nodes):
-    """Taylor coefficients 0..n of f about lam0 from one trapezoid pass."""
-    theta = 2.0 * np.pi * np.arange(nodes) / nodes
-    z = radius * np.exp(1j * theta)
-    fv = f_on_circle(lam0 + z)
+def _certified_taylor(f, lam0, n, radius):
+    """Taylor coefficients 0..n about lam0 of f, certified by node doubling.
+
+    f maps contour points to values, scalar or stacked in rows; the trapezoid
+    rule on |lambda - lam0| = radius is applied to Cauchy's integral until a
+    doubled node count changes no scaled coefficient |gamma_l| radius^l by
+    more than CERT_RTOL of the largest.  The count may double a few times, so
+    that large |lam0| (fast oscillation on the circle) stays usable.
+    Returns the coefficients, the contour offsets and f at those nodes.
+    """
     ell = np.arange(n + 1)
-    # gamma_l = (1/n) sum_k f_k exp(-i l theta_k) / radius^l
-    phase = np.exp(-1j * np.outer(ell, theta))
-    return (phase @ fv) / nodes / radius**ell
+
+    def trapezoid(m):
+        theta = 2.0 * np.pi * np.arange(m) / m
+        z = radius * np.exp(1j * theta)
+        fv = f(lam0 + z)
+        # gamma_l = (1/m) sum_k f_k exp(-i l theta_k) / radius^l
+        phase = np.exp(-1j * np.outer(ell, theta))
+        return (phase @ fv.T).T / m / radius**ell, z, fv
+
+    g1, _, _ = trapezoid(NODES)
+    m = 2 * NODES
+    while True:
+        g2, z, fv = trapezoid(m)
+        scale = np.max(np.abs(g2) * radius**ell)
+        diff = np.abs(g2 - g1) * radius**ell
+        if scale == 0.0 or np.all(diff <= CERT_RTOL * scale):
+            return g2, z, fv
+        if m >= MAX_NODES:
+            raise ContourNotConvergedError(
+                f"contour rule not converged at nodes={m} "
+                f"(max scaled change {np.max(diff) / scale:.3e})"
+            )
+        g1, m = g2, 2 * m
 
 
 def taylor_coefficients(
-    params: ModelParams,
-    lambda0: complex,
-    n: int,
-    radius: float,
-    nodes: int = DEFAULT_NODES,
+    params: ModelParams, lambda0: complex, n: int, radius: float
 ) -> np.ndarray:
     """Taylor coefficients gamma_0..gamma_n of det M about lambda0.
 
     Computed by the trapezoid rule on |lambda - lambda0| = radius applied to
     Cauchy's integral; certified by agreement with a doubled node count.
     """
-    if n < 0 or radius <= 0 or nodes < 16:
-        raise ValueError("need n >= 0, radius > 0, nodes >= 16")
-    f = lambda z: det_transmission(params, z)
-    ell = np.arange(n + 1)
-    g1 = _trapezoid_taylor(f, lambda0, n, radius, nodes)
-    # certify by node doubling; escalate a few times before giving up so that
-    # large |lambda0| (fast oscillation on the circle) stays usable
-    m = nodes
-    while True:
-        g2 = _trapezoid_taylor(f, lambda0, n, radius, 2 * m)
-        scale = np.max(np.abs(g2) * radius**ell)
-        diff = np.abs(g2 - g1) * radius**ell
-        if scale == 0.0 or np.all(diff <= CERT_RTOL * scale):
-            return g2
-        if 2 * m >= 16 * nodes:
-            raise ContourNotConvergedError(
-                f"contour rule not converged at nodes={2 * m} "
-                f"(max scaled change {np.max(diff) / scale:.3e})"
-            )
-        g1, m = g2, 2 * m
+    if n < 0 or radius <= 0:
+        raise ValueError("need n >= 0, radius > 0")
+    gamma, _, _ = _certified_taylor(
+        lambda z: det_transmission(params, z), lambda0, n, radius
+    )
+    return gamma
 
 
 def scaled_magnitudes(gamma: np.ndarray, radius: float) -> np.ndarray:
@@ -212,26 +221,20 @@ def scaled_magnitudes(gamma: np.ndarray, radius: float) -> np.ndarray:
     return mags / top if top > 0 else mags
 
 
-def ascent_of(
-    params: ModelParams,
-    lambda0: complex,
-    radius: float | None = None,
-    nodes: int = DEFAULT_NODES,
-    max_order: int = 6,
-) -> int:
+def ascent_of(params: ModelParams, lambda0: complex) -> int:
     """Order of the zero of det M at lambda0 (= ascent of the eigenvalue)."""
-    rho = default_radius(lambda0) if radius is None else radius
-    gamma = taylor_coefficients(params, lambda0, max_order, rho, nodes)
+    rho = default_radius(lambda0)
+    gamma = taylor_coefficients(params, lambda0, MAX_ORDER, rho)
     mags = scaled_magnitudes(gamma, rho)
     if mags[0] > ASCENT_TOL:
         raise NoRootHereError(
             f"det M does not vanish at {lambda0} (scaled |gamma_0| = {mags[0]:.3e})"
         )
-    for ell in range(1, max_order + 1):
+    for ell in range(1, MAX_ORDER + 1):
         if mags[ell] > ASCENT_TOL:
             return ell
     raise NoRootHereError(
-        f"no nonvanishing Taylor coefficient up to order {max_order}"
+        f"no nonvanishing Taylor coefficient up to order {MAX_ORDER}"
     )
 
 
@@ -276,17 +279,11 @@ class Jet:
         return self._weights @ val, self._weights @ der
 
 
-def eigenfunction_jet(
-    params: ModelParams,
-    lambda0: complex,
-    order: int,
-    radius: float | None = None,
-    nodes: int = DEFAULT_NODES,
-) -> Jet:
+def eigenfunction_jet(params: ModelParams, lambda0: complex, order: int) -> Jet:
     """Jet of generalized eigenfunctions w_1..w_order at the root lambda0."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    rho = default_radius(lambda0) if radius is None else radius
+    rho = default_radius(lambda0)
 
     M0 = transmission_matrix(params, lambda0)
     norm = np.max(np.abs(M0))
@@ -295,46 +292,22 @@ def eigenfunction_jet(
     # smooth null-vector family: (A1, A2) = (M12, -M11), fallback (M22, -M21)
     use_first = max(abs(M0[0, 1]), abs(M0[0, 0])) > 1e-12 * norm
 
-    def coeffs_at(m):
-        theta = 2.0 * np.pi * np.arange(m) / m
-        z = rho * np.exp(1j * theta)
-        f = fundamental_solutions(params, lambda0 + z, params.b)
+    def null_vector(lam):
+        f = fundamental_solutions(params, lam, params.b)
         if use_first:
-            A1, A2 = -f.vR, -f.vL
-        else:
-            A1, A2 = -params.a_R * f.dvR, -f.dvL
-        return theta, z, A1, A2
+            return np.array([-f.vR, -f.vL])
+        return np.array([-params.a_R * f.dvR, -f.dvL])
 
-    # certification mirrors taylor_coefficients: the lambda-Taylor
-    # coefficients of the null-vector functions must be node-stable
-    ell = np.arange(order)
-
-    def taylor_of(A, theta, m):
-        return np.exp(-1j * np.outer(ell, theta)) @ A / m / rho**ell
-
-    m = nodes
-    theta, z, A1, A2 = coeffs_at(m)
-    t1 = np.concatenate([taylor_of(A1, theta, m), taylor_of(A2, theta, m)])
-    while True:
-        theta, z, A1, A2 = coeffs_at(2 * m)
-        t2 = np.concatenate(
-            [taylor_of(A1, theta, 2 * m), taylor_of(A2, theta, 2 * m)]
-        )
-        scale = np.max(np.abs(t2) * np.concatenate([rho**ell, rho**ell]))
-        diff = np.abs(t2 - t1) * np.concatenate([rho**ell, rho**ell])
-        if scale == 0.0 or np.all(diff <= CERT_RTOL * scale):
-            break
-        if 2 * m >= 16 * nodes:
-            raise ContourNotConvergedError("jet contour rule not converged")
-        t1, m = t2, 2 * m
-    n = 2 * m
-    theta = 2.0 * np.pi * np.arange(n) / n
-
+    # the lambda-Taylor coefficients of the null-vector functions must be
+    # node-stable, as those of det M are
+    _, z, (A1, A2) = _certified_taylor(null_vector, lambda0, order - 1, rho)
     if max(np.max(np.abs(A1)), np.max(np.abs(A2))) == 0.0:
         raise DegenerateParametrizationError("both null-vector candidates vanish")
 
     # w_l = (l-1)! * (Taylor coefficient l-1 of u(lambda, x)); the trapezoid
     # rule turns that into a fixed weight vector over the contour nodes.
+    n = len(z)
+    theta = 2.0 * np.pi * np.arange(n) / n
     ells = np.arange(order)
     fact = np.array([float(math.factorial(k)) for k in ells])
     weights = (

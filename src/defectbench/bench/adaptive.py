@@ -23,10 +23,11 @@ import numpy as np
 
 from ..eigensolve import eigs_near, select_cluster
 from ..fem import Coefficient2D, assemble_triangles
-from ..fem.triangles import _EG_W, _EG_X, _QPTS, _QWTS, _basis, _dof_layout
+from ..fem.triangles import _EG_W, _EG_X, _QPTS, _QWTS, _basis, _dof_layout, _free_dofs
 from ..meshing import ROBIN, TriMesh, initial_square_triangulation, nvb_refine
 from .cases import BenchmarkCase
 from .convergence import (
+    INITIAL_SQUARE_DIVISIONS,
     LEVEL_ERRORS,
     ConvergenceTable,
     _tri_coefficient,
@@ -248,23 +249,20 @@ def dorfler_mark(field: EstimatorField, theta: float):
 
 
 def adaptive_loop(case: BenchmarkCase, theta: float = 0.5,
-                  max_dofs: int = 100_000, p: int = 1,
-                  tol: float = 1e-9, n0: int = 4) -> ConvergenceTable:
-    """Solve -> estimate -> mark -> refine until the DOF budget is spent."""
+                  max_dofs: int = 100_000, p: int = 1) -> ConvergenceTable:
+    """Solve -> estimate -> mark -> refine while the free DOFs fit the budget."""
     if case.family != "tri":
         raise ValueError("adaptive loop runs on triangular cases")
     coeff = _tri_coefficient(case)
     target, m = case.target, case.m_alg
     table = ConvergenceTable(case_id=case.id, p=p, target=target)
 
-    mesh = initial_square_triangulation(n0)
+    mesh = initial_square_triangulation(INITIAL_SQUARE_DIVISIONS)
     level = 0
-    while True:
+    while len(_free_dofs(_dof_layout(mesh, p)[0])) <= max_dofs:
         pencil = assemble_triangles(mesh, coeff, p)
-        if pencil.n > max_dofs:
-            break
         try:
-            spectrum = eigs_near(pencil, target, m, tol=tol)
+            spectrum = eigs_near(pencil, target, m)
         except LEVEL_ERRORS as exc:
             table.rows.append(failed_row(level, exc))
             break

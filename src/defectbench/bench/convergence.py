@@ -44,6 +44,8 @@ __all__ = [
 
 INITIAL_INTERVAL_ELEMENTS = 8
 INITIAL_SQUARE_DIVISIONS = 4
+MIN_LEVELS = 3  # fewest levels a uniform-refinement study runs
+K_LAST = 4  # rate fits use the last K_LAST good levels
 
 # the numerical failures a level may end in; they become failed rows
 LEVEL_ERRORS = (EigsNotConvergedError, SingularShiftError, SingularAlignmentError)
@@ -82,8 +84,8 @@ class ConvergenceTable:
     def ok_rows(self):
         return [r for r in self.rows if not r.failed]
 
-    def fit_all(self, k_last: int = 4):
-        """Rank-wise and mean-error slopes over the last k_last good levels."""
+    def fit_all(self):
+        """Rank-wise and mean-error slopes over the last K_LAST good levels."""
         rows = self.ok_rows
         if len(rows) < 2:
             return self.fitted_rates
@@ -92,13 +94,13 @@ class ConvergenceTable:
         for k in range(m):
             pts = [(r.N, r.errors[k]) for r in rows if r.errors[k] > r.floor]
             try:
-                self.fitted_rates[f"err{k + 1}"] = fit_rate(pts, k_last, floor)
+                self.fitted_rates[f"err{k + 1}"] = fit_rate(pts, K_LAST, floor)
             except NoFitPointsError:
                 pass
         try:
             self.fitted_rates["mean"] = fit_rate(
                 [(r.N, r.mean_error) for r in rows if r.mean_error > r.floor],
-                k_last,
+                K_LAST,
                 floor,
             )
         except NoFitPointsError:
@@ -189,11 +191,10 @@ def failed_row(level: int, exc: BaseException) -> ConvergenceRow:
                           reason=f"{type(exc).__name__}: {exc}")
 
 
-def run_convergence(case: BenchmarkCase, p: int, levels: int,
-                    tol: float = 1e-9, k_last: int = 4) -> ConvergenceTable:
+def run_convergence(case: BenchmarkCase, p: int, levels: int) -> ConvergenceTable:
     """Uniform refinement study against the analytic target d*lambda."""
-    if levels < 3:
-        raise ValueError(f"need levels >= 3, got {levels}")
+    if levels < MIN_LEVELS:
+        raise ValueError(f"need levels >= {MIN_LEVELS}, got {levels}")
     table = ConvergenceTable(case_id=case.id, p=p, target=case.target)
     target, m = case.target, case.m_alg
 
@@ -217,11 +218,11 @@ def run_convergence(case: BenchmarkCase, p: int, levels: int,
                     mesh = nvb_refine(mesh, range(mesh.n_triangles))
             pencil = assemble_triangles(mesh, _tri_coefficient(case), p)
         try:
-            spectrum = eigs_near(pencil, target, m, tol=tol)
+            spectrum = eigs_near(pencil, target, m)
         except LEVEL_ERRORS as exc:
             table.rows.append(failed_row(level, exc))
             continue
         values = spectrum.values[select_cluster(spectrum, target, m)]
         table.rows.append(cluster_row(level, pencil, target, values))
-    table.fit_all(k_last)
+    table.fit_all()
     return table

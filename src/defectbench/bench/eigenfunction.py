@@ -25,8 +25,8 @@ from .convergence import (
 __all__ = ["eigenfunction_convergence"]
 
 
-def eigenfunction_convergence(case: BenchmarkCase, p: int, levels: int,
-                              tol: float = 1e-9) -> ConvergenceTable:
+def eigenfunction_convergence(case: BenchmarkCase, p: int,
+                              levels: int) -> ConvergenceTable:
     """Distance of the smallest-residual cluster vector to the jet span.
 
     Recorded per level: errors[0] = distance to span{w_1} alone and
@@ -43,7 +43,7 @@ def eigenfunction_convergence(case: BenchmarkCase, p: int, levels: int,
     for level in range(levels):
         pencil = build_pencil_1d(case, p, level_elements(case, level))
         try:
-            spectrum = eigs_near(pencil, case.target, case.m_alg, tol=tol)
+            spectrum = eigs_near(pencil, case.target, case.m_alg)
             idx = select_cluster(spectrum, case.target, case.m_alg)
             best = idx[int(np.argmin(spectrum.residuals[idx]))]
             u_h = Function1D(pencil, spectrum.vectors[:, best])

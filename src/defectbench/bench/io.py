@@ -5,7 +5,7 @@ from __future__ import annotations
 import os
 import tempfile
 
-from .convergence import ConvergenceTable
+from .convergence import K_LAST, ConvergenceTable
 
 __all__ = ["write_table_csv", "write_rates_csv", "format_float"]
 
@@ -71,13 +71,13 @@ def write_table_csv(path: str, tables):
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def write_rates_csv(path: str, tables, k_last: int = 4):
+def write_rates_csv(path: str, tables):
     if isinstance(tables, ConvergenceTable):
         tables = [tables]
     lines = [RATES_HEADER]
     for t in tables:
         for column, slope in t.fitted_rates.items():
             lines.append(
-                f"{t.case_id},{t.p},{column},{format_float(slope)},{k_last}"
+                f"{t.case_id},{t.p},{column},{format_float(slope)},{K_LAST}"
             )
     _atomic_write(path, "\n".join(lines) + "\n")

@@ -140,8 +140,8 @@ class SensitivityReport:
     separations: dict = field(default_factory=dict)  # delta -> max pair dist
 
 
-def sensitivity_study(case: BenchmarkCase, deltas, p: int, levels: int,
-                      tol: float = 1e-9) -> SensitivityReport:
+def sensitivity_study(case: BenchmarkCase, deltas, p: int,
+                      levels: int) -> SensitivityReport:
     """Convergence tables of the perturbed problems.
 
     Per-eigenvalue errors are measured against the per-delta references;
@@ -168,7 +168,7 @@ def sensitivity_study(case: BenchmarkCase, deltas, p: int, levels: int,
             pencil = build_pencil_1d(case, p, level_elements(case, level),
                                      params=params)
             try:
-                spectrum = eigs_near(pencil, target, m, tol=tol)
+                spectrum = eigs_near(pencil, target, m)
             except LEVEL_ERRORS as exc:
                 table.rows.append(failed_row(level, exc))
                 continue

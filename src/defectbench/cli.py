@@ -2,8 +2,9 @@
 
 Commands: verify, find-params, convergence, sensitivity, adaptive,
 eigenfunction.  Exit codes: 0 success, 1 computation failure, 2 usage error.
-A study whose level failed writes its good rows, names each failed level on
-stderr and exits 1.
+Usage errors are caught before any computation.  A study whose level failed
+writes its good rows, names each failed level on stderr and exits 1.  Any
+exception outside COMPUTATION_ERRORS is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -14,20 +15,24 @@ import os
 import re
 import sys
 
-from .analytic1d import EigenConfig, ModelParams
-from .bench import (
-    CASES,
-    adaptive_loop,
-    eigenfunction_convergence,
-    run_convergence,
-    sensitivity_study,
-    write_rates_csv,
-    write_table_csv,
-)
+from .analytic1d import (ContourNotConvergedError, DegenerateParametrizationError,
+                         EigenConfig, ModelParams, NoRootHereError)
+from .bench import (CASES, PairingAmbiguityError, adaptive_loop,
+                    eigenfunction_convergence, run_convergence, sensitivity_study,
+                    write_rates_csv, write_table_csv)
 from .bench.cases import BenchmarkCase
-from .paramfind import config_to_json, solve_defect_system, verify_configuration
+from .bench.convergence import LEVEL_ERRORS, MIN_LEVELS
+from .paramfind import (DEFECT_ORDERS, LeftAdmissibleRegionError,
+                        RankDeficientJacobianError, SolverDivergedError,
+                        config_to_json, solve_defect_system, verify_configuration)
 
-__all__ = ["main", "parse_complex", "run"]
+__all__ = ["COMPUTATION_ERRORS", "main", "parse_complex", "run"]
+
+# the library's declared numerical failures: exit 1, anything else propagates
+COMPUTATION_ERRORS = (ContourNotConvergedError, NoRootHereError,
+                      DegenerateParametrizationError, SolverDivergedError,
+                      LeftAdmissibleRegionError, RankDeficientJacobianError,
+                      PairingAmbiguityError) + LEVEL_ERRORS
 
 _UNSIGNED = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 _FLOAT = rf"[+-]?{_UNSIGNED}"
@@ -49,6 +54,20 @@ def parse_complex(text: str) -> complex:
     if pure_im is not None:
         return complex(0.0, float(pure_im))
     return complex(float(re_part), float(im_part))
+
+
+def float_list(text: str) -> list:
+    values = [float(v) for v in text.split(",") if v]
+    if not values or any(v <= 0 for v in values):
+        raise argparse.ArgumentTypeError("must list positive values")
+    return values
+
+
+def fraction(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -78,10 +97,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("convergence"))
     ps = sub.add_parser("sensitivity")
     common(ps)
-    ps.add_argument("--deltas", default="1e-2,1e-6")
+    ps.add_argument("--deltas", type=float_list, default="1e-2,1e-6")
     pa = sub.add_parser("adaptive")
     common(pa)
-    pa.add_argument("--theta", type=float, default=0.5)
+    pa.add_argument("--theta", type=fraction, default=0.5)
     pa.add_argument("--max-dofs", dest="max_dofs", type=int, default=100_000)
     common(sub.add_parser("eigenfunction"))
     return ap
@@ -139,14 +158,16 @@ _STUDY_FAMILY = {"convergence": None, "sensitivity": "interval",
                  "adaptive": "tri", "eigenfunction": "interval"}
 
 
-def _check_study(command: str, case: BenchmarkCase, p: int):
-    """Reject a case or degree the study cannot run, before any level."""
+def _check_study(command: str, case: BenchmarkCase, p: int, levels: int):
+    """Reject a case, degree or level count the study cannot run."""
     family = _STUDY_FAMILY[command]
     if family is not None and case.family != family:
         raise UsageError(f"{command} needs a {family} case, not {case.id}")
     if p not in case.degrees:
         raise UsageError(f"case {case.id} assembles degrees "
                          f"{case.degrees}, not --p {p}")
+    if command == "convergence" and levels < MIN_LEVELS:
+        raise UsageError(f"--levels must be at least {MIN_LEVELS}")
 
 
 def _rates_path(out: str) -> str:
@@ -182,7 +203,9 @@ def run(argv) -> int:
             args.defect = 3
         case = _resolve_case(args)
         if args.command in _STUDY_FAMILY:
-            _check_study(args.command, case, args.p)
+            _check_study(args.command, case, args.p, args.levels)
+        if args.command == "find-params" and args.defect not in DEFECT_ORDERS:
+            raise UsageError(f"--defect must be one of {DEFECT_ORDERS}")
     except (UsageError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -222,11 +245,8 @@ def run(argv) -> int:
             return _finish([table], args.out)
 
         if args.command == "sensitivity":
-            deltas = [float(d) for d in str(args.deltas).split(",") if d]
-            if not deltas:
-                raise UsageError("--deltas must list positive values")
-            report = sensitivity_study(case, deltas, args.p, args.levels)
-            for d in deltas:
+            report = sensitivity_study(case, args.deltas, args.p, args.levels)
+            for d in args.deltas:
                 print(f"delta={d:g}: separation {report.separations[d]:.3f}, "
                       + _rates(report.tables[d]))
             return _finish(list(report.tables.values()), args.out)
@@ -242,11 +262,9 @@ def run(argv) -> int:
             print(f"case {case.id} eigenfunction p={args.p}: rates "
                   f"{_rates(table)}")
             return _finish([table], args.out)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # computation failure
-        print(f"computation failed: {exc}", file=sys.stderr)
+    except COMPUTATION_ERRORS as exc:
+        print(f"computation failed: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return 1
     return 2
 

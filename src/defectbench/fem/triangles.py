@@ -120,6 +120,11 @@ def _dof_layout(mesh: TriMesh, p: int):
     return coords, tri_dofs
 
 
+def _free_dofs(coords: np.ndarray) -> np.ndarray:
+    """DOFs off the Dirichlet part {x=0} u {y=0}; the rest are eliminated."""
+    return np.flatnonzero(np.all(np.abs(coords) > _GEOM_TOL, axis=1))
+
+
 def assemble_triangles(mesh: TriMesh, coeff: Coefficient2D, p: int) -> Pencil:
     if p not in DEGREES:
         raise ValueError(f"degree must be 1 or 2, got {p}")
@@ -203,10 +208,7 @@ def assemble_triangles(mesh: TriMesh, coeff: Coefficient2D, p: int) -> Pencil:
         shape=(ndof, ndof),
     ).tocsr()
 
-    on_dirichlet = (np.abs(coords[:, 0]) <= _GEOM_TOL) | (
-        np.abs(coords[:, 1]) <= _GEOM_TOL
-    )
-    free = np.flatnonzero(~on_dirichlet)
+    free = _free_dofs(coords)
     A = A[free][:, free].tocsr()
     B = B[free][:, free].tocsr()
     # h: max triangle diameter = max edge length

@@ -1,12 +1,18 @@
 """Analytic transmission-problem layer: determinant, Taylor, ascent, jets."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 from defectbench.analytic1d import (
+    CERT_RTOL,
+    NODES,
     ContourNotConvergedError,
     ModelParams,
     ascent_of,
+    default_radius,
     det_transmission,
     eigenfunction_jet,
     fundamental_solutions,
@@ -14,6 +20,7 @@ from defectbench.analytic1d import (
     taylor_coefficients,
     transmission_matrix,
 )
+from defectbench.bench.cases import REDUCED_CONFIG, REGULAR_CONFIG
 
 SELFADJOINT = ModelParams(b=0.5, a_R=1.0 + 0j, c=0.0 + 0j)
 
@@ -119,3 +126,85 @@ def test_invalid_contour_arguments_raise():
         taylor_coefficients(REGULAR, REGULAR_LAMBDA, 3, radius=-1.0)
     with pytest.raises(ValueError):
         taylor_coefficients(REGULAR, REGULAR_LAMBDA, -1, radius=0.1)
+
+
+# far from the published root the contour integrand oscillates too fast for
+# the node cap on the default radius
+FAR_LAMBDA = 1e5
+
+
+@pytest.mark.parametrize("compute", [
+    lambda: taylor_coefficients(REGULAR, FAR_LAMBDA, 3,
+                                radius=default_radius(FAR_LAMBDA)),
+    lambda: ascent_of(REGULAR, FAR_LAMBDA),
+    lambda: eigenfunction_jet(REGULAR, FAR_LAMBDA, 3),
+], ids=["taylor_coefficients", "ascent_of", "eigenfunction_jet"])
+def test_unconverged_contour_rule_raises(compute):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a failure, not an overflow
+        with pytest.raises(ContourNotConvergedError):
+            compute()
+
+
+def _reference_jet_nodes(params, lambda0, order):
+    """Contour offsets and null-vector values of the earlier jet, which
+    certified its own node count by a copy of the doubling loop."""
+    rho = default_radius(lambda0)
+    M0 = transmission_matrix(params, lambda0)
+    norm = np.max(np.abs(M0))
+    use_first = max(abs(M0[0, 1]), abs(M0[0, 0])) > 1e-12 * norm
+
+    def coeffs_at(m):
+        theta = 2.0 * np.pi * np.arange(m) / m
+        z = rho * np.exp(1j * theta)
+        f = fundamental_solutions(params, lambda0 + z, params.b)
+        if use_first:
+            A1, A2 = -f.vR, -f.vL
+        else:
+            A1, A2 = -params.a_R * f.dvR, -f.dvL
+        return theta, z, A1, A2
+
+    ell = np.arange(order)
+
+    def taylor_of(A, theta, m):
+        return np.exp(-1j * np.outer(ell, theta)) @ A / m / rho**ell
+
+    m = NODES
+    theta, z, A1, A2 = coeffs_at(m)
+    t1 = np.concatenate([taylor_of(A1, theta, m), taylor_of(A2, theta, m)])
+    while True:
+        theta, z, A1, A2 = coeffs_at(2 * m)
+        t2 = np.concatenate(
+            [taylor_of(A1, theta, 2 * m), taylor_of(A2, theta, 2 * m)]
+        )
+        scale = np.max(np.abs(t2) * np.concatenate([rho**ell, rho**ell]))
+        diff = np.abs(t2 - t1) * np.concatenate([rho**ell, rho**ell])
+        if scale == 0.0 or np.all(diff <= CERT_RTOL * scale):
+            break
+        if 2 * m >= 16 * NODES:
+            raise ContourNotConvergedError("jet contour rule not converged")
+        t1, m = t2, 2 * m
+    n = 2 * m
+    theta = 2.0 * np.pi * np.arange(n) / n
+    fact = np.array([float(math.factorial(k)) for k in ell])
+    weights = (
+        fact[:, None] * np.exp(-1j * np.outer(ell, theta)) / n / rho ** ell[:, None]
+    )
+    return z, weights, A1, A2
+
+
+@pytest.mark.parametrize("config", [REGULAR_CONFIG, REDUCED_CONFIG],
+                         ids=["half", "third"])
+def test_jet_matches_earlier_certification_loop(config):
+    jet = eigenfunction_jet(config.params, config.lam, config.ascent)
+    z, weights, A1, A2 = _reference_jet_nodes(config.params, config.lam,
+                                              config.ascent)
+    assert np.array_equal(jet._contour_z, z)
+    assert np.array_equal(jet._weights, weights)
+    assert np.array_equal(jet._A1, A1) and np.array_equal(jet._A2, A2)
+    x = np.linspace(0.0, 1.0, 257)
+    reference = type(jet)(params=config.params, lam0=config.lam,
+                          order=config.ascent, _contour_z=z, _weights=weights,
+                          _A1=A1, _A2=A2)
+    for got, want in zip(jet.value_matrix(x), reference.value_matrix(x)):
+        assert got.tobytes() == want.tobytes()

@@ -303,6 +303,21 @@ def test_eigenfunction_study_evaluates_jet_once_per_level(monkeypatch):
     assert all(r.errors[1] <= r.errors[0] for r in table.rows)
 
 
+def test_adaptive_loop_assembles_only_meshes_within_budget(monkeypatch):
+    sizes = []
+
+    def counted(*args, **kwargs):
+        pencil = assemble_triangles(*args, **kwargs)
+        sizes.append(pencil.n)
+        return pencil
+
+    monkeypatch.setattr(adaptive, "assemble_triangles", counted)
+    table = adaptive_loop(CASES["regular2d_tri"], max_dofs=400)
+    assert len(sizes) == len(table.rows) >= 2
+    assert max(sizes) <= 400
+    assert [r.N for r in table.rows] == sizes
+
+
 # ------------------------------------------------------------ failed levels
 
 # (module whose eigs_near the driver calls, run of the driver on a small case)

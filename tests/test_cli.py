@@ -4,9 +4,11 @@ import json
 
 import pytest
 
+from defectbench import cli
 from defectbench.bench import convergence
 from defectbench.cli import parse_complex, run
 from defectbench.eigensolve import EigsNotConvergedError, eigs_near
+from defectbench.paramfind import SolverDivergedError
 
 
 # ------------------------------------------------------------ complex parsing
@@ -159,3 +161,41 @@ def test_failed_level_is_named_and_exits_1(tmp_path, capsys, monkeypatch):
             "residuals above 1.0e-09") in err
     # the good levels are still written
     assert len(out.read_text().strip().split("\n")) == 1 + 3 * 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["find-params", "--defect", "4"],
+    ["sensitivity", "--deltas", "-1"],
+    ["sensitivity", "--deltas", "x"],
+    ["adaptive", "--case", "reduced2d_tri", "--theta", "2"],
+    ["convergence", "--levels", "2"],
+])
+def test_bad_option_value_is_usage_error_before_computing(monkeypatch, capsys,
+                                                           argv):
+    def computed(*args, **kwargs):
+        raise AssertionError("computation started")
+
+    for name in ("solve_defect_system", "run_convergence", "sensitivity_study",
+                 "adaptive_loop"):
+        monkeypatch.setattr(cli, name, computed)
+    assert run(argv) == 2
+    assert "computation failed" not in capsys.readouterr().err
+
+
+def test_declared_failure_exits_1_with_its_type(monkeypatch, capsys):
+    def diverged(*args, **kwargs):
+        raise SolverDivergedError("line search failed")
+
+    monkeypatch.setattr(cli, "solve_defect_system", diverged)
+    assert run(["find-params", "--case", "regular1d"]) == 1
+    assert ("computation failed: SolverDivergedError: line search failed"
+            in capsys.readouterr().err)
+
+
+def test_programming_error_propagates_out_of_run(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("bad argument")
+
+    monkeypatch.setattr(convergence, "eigs_near", broken)
+    with pytest.raises(TypeError, match="bad argument"):
+        run(["convergence", "--case", "regular1d", "--levels", "3"])

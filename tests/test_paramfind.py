@@ -1,16 +1,24 @@
-"""Newton forging of defective parameter sets: recovery, freezing, errors."""
+"""Newton forging of defective parameter sets: recovery, surplus unknowns,
+errors."""
 
 import json
 
 import numpy as np
 import pytest
 
-from defectbench.analytic1d import EigenConfig, ModelParams, ascent_of
+from defectbench import paramfind
+from defectbench.analytic1d import (
+    ContourNotConvergedError,
+    EigenConfig,
+    ModelParams,
+    ascent_of,
+    taylor_coefficients,
+)
 from defectbench.bench.cases import REDUCED_CONFIG, REGULAR_CONFIG
 from defectbench.paramfind import (
+    DEFECT_ORDERS,
     LeftAdmissibleRegionError,
     config_to_json,
-    defect_residual,
     solve_defect_system,
     verify_configuration,
 )
@@ -38,13 +46,6 @@ def test_recovers_published_triple_from_perturbation(config):
     assert abs(sol.params.c - config.params.c) < 1e-6 * abs(config.params.c)
 
 
-def test_defect_residual_vanishes_at_published_point():
-    par = REGULAR_CONFIG.params
-    res = defect_residual(par.b, par.a_R, par.c, REGULAR_CONFIG.lam, 3)
-    # raw coefficients are small relative to the eigenvalue scale
-    assert np.max(np.abs(res)) < 1e-6 * abs(REGULAR_CONFIG.lam)
-
-
 def test_nu1_freezes_coefficients_and_finds_simple_root():
     # with a_R=1, c=0 fixed, the nu=1 system is a root solve for
     # lam cos(sqrt(lam)); nearest root to 2 is (pi/2)^2
@@ -56,8 +57,9 @@ def test_nu1_freezes_coefficients_and_finds_simple_root():
 
 
 def test_nu2_freezes_c_only():
-    init = _perturb(REGULAR_CONFIG, 1e-3)
-    report = solve_defect_system(0.5, 2, init, freeze_c=REGULAR_CONFIG.params.c)
+    a_R, _, lam = _perturb(REGULAR_CONFIG, 1e-3)
+    init = (a_R, REGULAR_CONFIG.params.c, lam)
+    report = solve_defect_system(0.5, 2, init)
     assert report.solution.params.c == REGULAR_CONFIG.params.c
     assert report.residual_norm <= 1e-10
 
@@ -82,17 +84,44 @@ def test_left_half_plane_start_rejected():
 
 
 def test_invalid_defect_order_rejected():
-    with pytest.raises(ValueError):
-        solve_defect_system(0.5, 4, (1.0, 0.0, 2.0))
-    with pytest.raises(ValueError):
-        defect_residual(0.5, 1.0, 0.0, 2.0, 0)
+    assert DEFECT_ORDERS == (1, 2, 3)
+    for nu in (0, 4):
+        with pytest.raises(ValueError):
+            solve_defect_system(0.5, nu, (1.0, 0.0, 2.0))
 
 
-def test_defect_residual_input_validation():
-    with pytest.raises(ValueError):
-        defect_residual(0.5, -1.0 + 0j, 0.0, 2.0, 3)
-    with pytest.raises(ValueError):
-        defect_residual(0.5, 1.0, 0.0, 0.0, 3)
+def _failing_coefficients(monkeypatch, exc, at_call):
+    """Make the solver's at_call-th Taylor-coefficient request raise exc."""
+    calls = []
+
+    def fake(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == at_call:
+            raise exc
+        return taylor_coefficients(*args, **kwargs)
+
+    monkeypatch.setattr(paramfind, "taylor_coefficients", fake)
+    return calls
+
+
+# nu = 1 from the simple-root start: the residual (call 1) and the two
+# Jacobian columns (calls 2, 3) come before the first trial step (call 4)
+_FIRST_TRIAL = 4
+
+
+def test_line_search_backtracks_past_unconverged_contour(monkeypatch):
+    calls = _failing_coefficients(
+        monkeypatch, ContourNotConvergedError("not converged"), _FIRST_TRIAL
+    )
+    report = solve_defect_system(0.5, 1, (1.0, 0.0, 2.0 + 0.1j))
+    assert len(calls) > _FIRST_TRIAL
+    assert abs(report.solution.lam - (np.pi / 2) ** 2) < 1e-8
+
+
+def test_line_search_lets_programming_errors_propagate(monkeypatch):
+    _failing_coefficients(monkeypatch, TypeError("bad argument"), _FIRST_TRIAL)
+    with pytest.raises(TypeError, match="bad argument"):
+        solve_defect_system(0.5, 1, (1.0, 0.0, 2.0 + 0.1j))
 
 
 def test_config_json_roundtrip_fields():
