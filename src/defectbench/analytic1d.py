@@ -69,6 +69,10 @@ class ModelParams:
         if not np.real(self.a_R) > 0.0:
             raise ValueError(f"Re(a_R) must be positive, got {self.a_R}")
 
+    def a(self, x):
+        """Diffusion coefficient at x: 1 for x <= b, a_R beyond."""
+        return np.where(np.asarray(x) <= self.b, 1.0 + 0.0j, self.a_R)
+
 
 @dataclass
 class EigenConfig:

@@ -25,7 +25,7 @@ from ..eigensolve import (
     mean_of_cluster,
     select_cluster,
 )
-from ..fem import Coefficient2D, assemble_interval, assemble_tensor, assemble_triangles
+from ..fem import assemble_interval, assemble_tensor, assemble_triangles
 from ..fem.error_norms import SingularAlignmentError
 from ..meshing import initial_square_triangulation, nvb_refine, uniform_interval_mesh
 from .cases import BenchmarkCase
@@ -39,12 +39,13 @@ __all__ = [
     "run_convergence",
     "fit_rate",
     "build_pencil_1d",
+    "check_levels",
     "NoFitPointsError",
 ]
 
 INITIAL_INTERVAL_ELEMENTS = 8
 INITIAL_SQUARE_DIVISIONS = 4
-MIN_LEVELS = 3  # fewest levels a uniform-refinement study runs
+MIN_LEVELS = 3  # fewest levels a level-based study runs
 K_LAST = 4  # rate fits use the last K_LAST good levels
 
 # the numerical failures a level may end in; they become failed rows
@@ -160,11 +161,6 @@ def build_pencil_1d(case: BenchmarkCase, p: int, n: int, params=None):
     return assemble_interval(mesh, params, p)
 
 
-def _tri_coefficient(case: BenchmarkCase) -> Coefficient2D:
-    par = case.config.params
-    return Coefficient2D(b=par.b, a_R=par.a_R, robin_c=par.c)
-
-
 def cluster_row(level: int, pencil, target: complex, cluster,
                 **fields) -> ConvergenceRow:
     """Row of a solved level from its pencil and its eigenvalue cluster.
@@ -191,10 +187,15 @@ def failed_row(level: int, exc: BaseException) -> ConvergenceRow:
                           reason=f"{type(exc).__name__}: {exc}")
 
 
-def run_convergence(case: BenchmarkCase, p: int, levels: int) -> ConvergenceTable:
-    """Uniform refinement study against the analytic target d*lambda."""
+def check_levels(levels: int) -> None:
+    """Reject a level count too small for a rate fit to mean anything."""
     if levels < MIN_LEVELS:
         raise ValueError(f"need levels >= {MIN_LEVELS}, got {levels}")
+
+
+def run_convergence(case: BenchmarkCase, p: int, levels: int) -> ConvergenceTable:
+    """Uniform refinement study against the analytic target d*lambda."""
+    check_levels(levels)
     table = ConvergenceTable(case_id=case.id, p=p, target=case.target)
     target, m = case.target, case.m_alg
 
@@ -216,7 +217,7 @@ def run_convergence(case: BenchmarkCase, p: int, levels: int) -> ConvergenceTabl
                 # between two mesh patterns)
                 for _ in range(2):
                     mesh = nvb_refine(mesh, range(mesh.n_triangles))
-            pencil = assemble_triangles(mesh, _tri_coefficient(case), p)
+            pencil = assemble_triangles(mesh, case.config.params, p)
         try:
             spectrum = eigs_near(pencil, target, m)
         except LEVEL_ERRORS as exc:

@@ -17,6 +17,7 @@ from .convergence import (
     LEVEL_ERRORS,
     ConvergenceTable,
     build_pencil_1d,
+    check_levels,
     cluster_row,
     failed_row,
     level_elements,
@@ -37,6 +38,7 @@ def eigenfunction_convergence(case: BenchmarkCase, p: int,
     """
     if case.dimension != 1:
         raise ValueError("eigenfunction study is one-dimensional")
+    check_levels(levels)
     cfg = case.config
     jet = eigenfunction_jet(cfg.params, cfg.lam, cfg.ascent)
     table = ConvergenceTable(case_id=case.id, p=p, target=cfg.lam)

@@ -21,6 +21,7 @@ from .convergence import (
     LEVEL_ERRORS,
     ConvergenceTable,
     build_pencil_1d,
+    check_levels,
     cluster_row,
     failed_row,
     level_elements,
@@ -152,6 +153,7 @@ def sensitivity_study(case: BenchmarkCase, deltas, p: int,
         raise ValueError("sensitivity study is one-dimensional")
     if any(d <= 0 for d in deltas):
         raise ValueError("deltas must be positive")
+    check_levels(levels)
     report = SensitivityReport(case_id=case.id, p=p, deltas=list(deltas))
     target, m = case.target, case.m_alg
     for delta in deltas:

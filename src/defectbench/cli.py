@@ -20,8 +20,9 @@ from .analytic1d import (ContourNotConvergedError, DegenerateParametrizationErro
 from .bench import (CASES, PairingAmbiguityError, adaptive_loop,
                     eigenfunction_convergence, run_convergence, sensitivity_study,
                     write_rates_csv, write_table_csv)
+from .bench.adaptive import initial_mesh
 from .bench.cases import BenchmarkCase
-from .bench.convergence import LEVEL_ERRORS, MIN_LEVELS
+from .bench.convergence import LEVEL_ERRORS, check_levels
 from .paramfind import (DEFECT_ORDERS, LeftAdmissibleRegionError,
                         RankDeficientJacobianError, SolverDivergedError,
                         config_to_json, solve_defect_system, verify_configuration)
@@ -158,16 +159,18 @@ _STUDY_FAMILY = {"convergence": None, "sensitivity": "interval",
                  "adaptive": "tri", "eigenfunction": "interval"}
 
 
-def _check_study(command: str, case: BenchmarkCase, p: int, levels: int):
-    """Reject a case, degree or level count the study cannot run."""
-    family = _STUDY_FAMILY[command]
+def _check_study(args, case: BenchmarkCase):
+    """Reject a case, degree, level count or DOF budget the study cannot run."""
+    family = _STUDY_FAMILY[args.command]
     if family is not None and case.family != family:
-        raise UsageError(f"{command} needs a {family} case, not {case.id}")
-    if p not in case.degrees:
+        raise UsageError(f"{args.command} needs a {family} case, not {case.id}")
+    if args.p not in case.degrees:
         raise UsageError(f"case {case.id} assembles degrees "
-                         f"{case.degrees}, not --p {p}")
-    if command == "convergence" and levels < MIN_LEVELS:
-        raise UsageError(f"--levels must be at least {MIN_LEVELS}")
+                         f"{case.degrees}, not --p {args.p}")
+    if args.command == "adaptive":
+        initial_mesh(args.max_dofs, args.p)
+    else:
+        check_levels(args.levels)
 
 
 def _rates_path(out: str) -> str:
@@ -203,7 +206,7 @@ def run(argv) -> int:
             args.defect = 3
         case = _resolve_case(args)
         if args.command in _STUDY_FAMILY:
-            _check_study(args.command, case, args.p, args.levels)
+            _check_study(args, case)
         if args.command == "find-params" and args.defect not in DEFECT_ORDERS:
             raise UsageError(f"--defect must be one of {DEFECT_ORDERS}")
     except (UsageError, ValueError, OSError, json.JSONDecodeError) as exc:

@@ -110,8 +110,8 @@ def _arnoldi(op, v0: np.ndarray, k: int):
     return V[:k].T, H[:k, :k]
 
 
-def _refine_block(op, vecs: np.ndarray, sigma: complex, iters: int = 3):
-    """Inverse subspace iteration on the cluster, then a small projection.
+def _refine_block(op, vecs: np.ndarray, sigma: complex):
+    """Three inverse subspace iterations on the cluster, then a projection.
 
     Individual Ritz pairs of a (near-)defective cluster do not share a
     single backward perturbation — their vectors are nearly parallel — so
@@ -120,7 +120,7 @@ def _refine_block(op, vecs: np.ndarray, sigma: complex, iters: int = 3):
     values from the small projected operator restores it.
     """
     Z = np.linalg.qr(vecs)[0]
-    for _ in range(iters):
+    for _ in range(3):
         Z = np.linalg.qr(op(Z))[0]
     S = Z.conj().T @ op(Z)
     theta, Y = np.linalg.eig(S)
@@ -129,69 +129,68 @@ def _refine_block(op, vecs: np.ndarray, sigma: complex, iters: int = 3):
     return sigma + 1.0 / theta, Z @ Y
 
 
-def eigs_near(pencil: Pencil, sigma: complex, m: int,
-              tol: float = DEFAULT_TOL, _retry_shift: bool = False) -> Spectrum:
-    """The m eigenpairs closest to sigma, residual-certified."""
+def eigs_near(pencil: Pencil, sigma: complex, m: int) -> Spectrum:
+    """The m eigenpairs closest to sigma, residual-certified.
+
+    A shift pathologically close to the spectrum can stall both Arnoldi
+    attempts; the solve is then repeated once, deterministically, at the
+    shift nudged by 1e-6 (1 + |sigma|).
+    """
     n = pencil.n
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= {n}, got {m}")
     A, B = pencil.A, pencil.B
-    try:
-        fact = factorize_shifted(pencil, sigma)
-    except SingularShiftError:
-        sigma = sigma + 1e-8 * (1.0 + abs(sigma))
-        fact = factorize_shifted(pencil, sigma)
+    for retry in (False, True):
+        if retry:
+            sigma = sigma + 1e-6 * (1.0 + abs(sigma))
+        try:
+            fact = factorize_shifted(pencil, sigma)
+        except SingularShiftError:
+            sigma = sigma + 1e-8 * (1.0 + abs(sigma))
+            fact = factorize_shifted(pencil, sigma)
 
-    op = lambda v: fact.solve(B @ v)  # a vector or an n x m block
-    normA, normB = _one_norm(A), _one_norm(B)
+        op = lambda v: fact.solve(B @ v)  # a vector or an n x m block
+        normA, normB = _one_norm(A), _one_norm(B)
 
-    ones = np.ones(n, dtype=complex)
-    v0 = ones / np.sqrt(np.real(ones @ (B @ ones)))
+        ones = np.ones(n, dtype=complex)
+        v0 = ones / np.sqrt(np.real(ones @ (B @ ones)))
 
-    k = min(n, max(2 * m + 20, 40))
-    best = None
-    for attempt in range(2):
-        V, H = _arnoldi(op, v0, k)
-        theta, S = np.linalg.eig(H)
-        nonzero = np.abs(theta) > 1e-14 * np.max(np.abs(theta))
-        lam = np.full_like(theta, np.inf)
-        lam[nonzero] = sigma + 1.0 / theta[nonzero]
-        order = np.argsort(np.abs(lam - sigma), kind="stable")[:m]
-        vecs = V @ S[:, order]
-        vals = lam[order]
-        refined = _refine_block(op, vecs, sigma)
-        if refined is not None:
-            vals, vecs = refined
-            reorder = np.argsort(np.abs(vals - sigma), kind="stable")
-            vals, vecs = vals[reorder], vecs[:, reorder]
-        # a shift on an eigenvalue can end the Krylov space below m vectors
-        # (one huge direction makes the rest look invariant): the missing
-        # pairs count as unconverged, so the restart and the nudge follow
-        res = np.full(m, np.inf)
-        res[: len(vals)] = np.linalg.norm(A @ vecs - (B @ vecs) * vals, axis=0) / (
-            (normA + np.abs(vals) * normB) * np.linalg.norm(vecs, axis=0)
-        )
-        best = (vals, vecs, res)
-        if np.all(res <= tol):
-            break
-        if attempt == 0 and k < n:
-            # one deterministic restart: bigger space, restarted start vector
-            v0 = vecs.sum(axis=1)
-            v0 = v0 / np.linalg.norm(v0)
-            k = min(n, 2 * k)
-    vals, vecs, res = best
-    if not np.all(res <= tol):
-        if not _retry_shift:
-            # a shift pathologically close to the spectrum can stall both
-            # attempts; one nudged retry is deterministic and cheap
-            return eigs_near(pencil, sigma + 1e-6 * (1.0 + abs(sigma)), m,
-                             tol=tol, _retry_shift=True)
-        raise EigsNotConvergedError(
-            f"eigensolver residuals above {tol:.1e}: max {res.max():.3e}",
-            residuals=res,
-        )
-    vecs = _b_normalize(vecs, B)
-    return Spectrum(values=vals, vectors=vecs, residuals=res, sigma=sigma)
+        k = min(n, max(2 * m + 20, 40))
+        for attempt in range(2):
+            V, H = _arnoldi(op, v0, k)
+            theta, S = np.linalg.eig(H)
+            nonzero = np.abs(theta) > 1e-14 * np.max(np.abs(theta))
+            lam = np.full_like(theta, np.inf)
+            lam[nonzero] = sigma + 1.0 / theta[nonzero]
+            order = np.argsort(np.abs(lam - sigma), kind="stable")[:m]
+            vecs = V @ S[:, order]
+            vals = lam[order]
+            refined = _refine_block(op, vecs, sigma)
+            if refined is not None:
+                vals, vecs = refined
+                reorder = np.argsort(np.abs(vals - sigma), kind="stable")
+                vals, vecs = vals[reorder], vecs[:, reorder]
+            # a shift on an eigenvalue can end the Krylov space below m
+            # vectors (one huge direction makes the rest look invariant):
+            # the missing pairs count as unconverged, so the restart and
+            # the nudge follow
+            res = np.full(m, np.inf)
+            res[: len(vals)] = np.linalg.norm(
+                A @ vecs - (B @ vecs) * vals, axis=0
+            ) / ((normA + np.abs(vals) * normB) * np.linalg.norm(vecs, axis=0))
+            if np.all(res <= DEFAULT_TOL):
+                return Spectrum(values=vals, vectors=_b_normalize(vecs, B),
+                                residuals=res, sigma=sigma)
+            if attempt == 0 and k < n:
+                # one deterministic restart: bigger space, restarted start
+                # vector
+                v0 = vecs.sum(axis=1)
+                v0 = v0 / np.linalg.norm(v0)
+                k = min(n, 2 * k)
+    raise EigsNotConvergedError(
+        f"eigensolver residuals above {DEFAULT_TOL:.1e}: max {res.max():.3e}",
+        residuals=res,
+    )
 
 
 def mean_of_cluster(values) -> complex:

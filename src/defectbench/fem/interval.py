@@ -48,10 +48,6 @@ def _gauss(nq: int):
     return 0.5 * (x + 1.0), 0.5 * w  # on [0,1]
 
 
-def _coeff_a(params: ModelParams, x):
-    return np.where(np.asarray(x) <= params.b, 1.0 + 0.0j, params.a_R)
-
-
 def assemble_interval(mesh: IntervalMesh, params: ModelParams, p: int) -> Pencil:
     """Assemble the pencil (A, B) for degree p Lagrange elements."""
     if p not in DEGREES:
@@ -78,7 +74,7 @@ def assemble_interval(mesh: IntervalMesh, params: ModelParams, p: int) -> Pencil
     phi = vals(tref)  # (p+1, nseg, nq)
     dphi = ders(tref) / h[el, None]
     wseg = (sr - sl)[:, None] * wq
-    aq = _coeff_a(params, 0.5 * (sl + sr))
+    aq = params.a(0.5 * (sl + sr))
     Ae = np.einsum("s,sq,isq,jsq->sij", aq, wseg, dphi, dphi)
     Be = np.einsum("sq,isq,jsq->sij", wseg, phi, phi)
 

@@ -10,6 +10,7 @@ Dirichlet on {x=0} and {y=0}, Robin on {x=1} and {y=1}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -79,8 +80,12 @@ class TriMesh:
         Returns (uniq, tri_edge_ids, counts): uniq (ne, 2) lexicographically
         sorted with uniq[:, 0] < uniq[:, 1]; tri_edge_ids (nt, 3) indexes
         uniq for the local edges (0,1), (1,2), (2,0); counts (ne,) is 1 on
-        the boundary and 2 inside.
+        the boundary and 2 inside.  Computed once per mesh and read-only.
         """
+        return self._edges
+
+    @cached_property
+    def _edges(self):
         nv = len(self.vertices)
         t = self.triangles
         a, b = t, t[:, [1, 2, 0]]
@@ -90,8 +95,11 @@ class TriMesh:
         ukeys, inv, counts = np.unique(
             keys, return_inverse=True, return_counts=True
         )
-        uniq = np.column_stack([ukeys // nv, ukeys % nv])
-        return uniq, inv.reshape(-1, 3), counts
+        edges = (np.column_stack([ukeys // nv, ukeys % nv]),
+                 inv.reshape(-1, 3), counts)
+        for arr in edges:
+            arr.setflags(write=False)
+        return edges
 
     def boundary_edges(self):
         """(ne, 2) boundary edges with their tags, by the geometric rule."""
@@ -112,13 +120,6 @@ class TriMesh:
             raise ValueError(f"boundary edge {e} not on the unit square")
         tags = [DIRICHLET if d else ROBIN for d in dirichlet]
         return bnd, tags
-
-    def areas(self) -> np.ndarray:
-        v = self.vertices
-        t = self.triangles
-        d1 = v[t[:, 1]] - v[t[:, 0]]
-        d2 = v[t[:, 2]] - v[t[:, 0]]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
 
 def initial_square_triangulation(n0: int) -> TriMesh:

@@ -28,7 +28,6 @@ from defectbench.bench import (
 from defectbench.bench.convergence import build_pencil_1d
 from defectbench.eigensolve import eigs_near, select_cluster
 from defectbench.fem import (
-    Coefficient2D,
     assemble_interval,
     assemble_tensor,
     assemble_triangles,
@@ -203,8 +202,7 @@ def test_09_all_assemblies_complex_symmetric_with_positive_mass():
         for p in (1, 2, 3)
     ]
     mesh = initial_square_triangulation(4)
-    coeff = Coefficient2D(b=par.b, a_R=par.a_R, robin_c=par.c)
-    pencils += [assemble_triangles(mesh, coeff, p) for p in (1, 2)]
+    pencils += [assemble_triangles(mesh, par, p) for p in (1, 2)]
     p1d = pencils[0]
     pencils += [assemble_tensor(p1d, 2), assemble_tensor(p1d, 3)]
     for pencil in pencils:

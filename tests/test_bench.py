@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg as sla
 from scipy.optimize import linear_sum_assignment
 
-from defectbench.analytic1d import Jet
+from defectbench.analytic1d import Jet, ModelParams
 from defectbench.bench import (
     CASES,
     EstimatorField,
@@ -33,7 +33,7 @@ from defectbench.bench.io import HEADER, RATES_HEADER, format_float
 from defectbench.bench import adaptive, convergence, eigenfunction, sensitivity
 from defectbench.bench.sensitivity import _pair_to
 from defectbench.eigensolve import EigsNotConvergedError, eigs_near, select_cluster
-from defectbench.fem import Coefficient2D, assemble_tensor, assemble_triangles
+from defectbench.fem import assemble_tensor, assemble_triangles
 from defectbench.meshing import initial_square_triangulation
 
 
@@ -112,9 +112,8 @@ def test_dorfler_theta_validation():
 def _tri_cluster(n0=4, p=1):
     case = CASES["regular2d_tri"]
     mesh = initial_square_triangulation(n0)
-    par = case.config.params
-    coeff = Coefficient2D(b=par.b, a_R=par.a_R, robin_c=par.c)
-    pencil = assemble_triangles(mesh, coeff, p)
+    params = case.config.params
+    pencil = assemble_triangles(mesh, params, p)
     spec = eigs_near(pencil, case.target, case.m_alg)
     idx = select_cluster(spec, case.target, case.m_alg)
     pairs = []
@@ -122,34 +121,34 @@ def _tri_cluster(n0=4, p=1):
         full = np.zeros(pencil.meta["coords"].shape[0], dtype=complex)
         full[pencil.free] = spec.vectors[:, j]
         pairs.append((spec.values[j], full))
-    return mesh, pairs, coeff
+    return mesh, pairs, params
 
 
 def test_estimator_zero_input_is_zero():
     mesh = initial_square_triangulation(2)
-    coeff = Coefficient2D(b=0.5, a_R=1.0 + 0j, robin_c=0j)
+    params = ModelParams(b=0.5, a_R=1.0 + 0j, c=0j)
     zero = np.zeros(len(mesh.vertices), dtype=complex)
-    field = residual_estimator(mesh, [(1.0 + 0j, zero)], coeff, p=1)
+    field = residual_estimator(mesh, [(1.0 + 0j, zero)], params, p=1)
     assert field.total == 0.0
-    assert residual_estimator(mesh, [], coeff, p=1).total == 0.0
+    assert residual_estimator(mesh, [], params, p=1).total == 0.0
 
 
 def test_estimator_conjugation_symmetry():
     # the estimator is primal + conjugate-adjoint: conjugating every input
     # swaps the two halves and must leave each indicator unchanged
-    mesh, pairs, coeff = _tri_cluster()
-    field = residual_estimator(mesh, pairs, coeff)
+    mesh, pairs, params = _tri_cluster()
+    field = residual_estimator(mesh, pairs, params)
     conj_pairs = [(np.conj(lam), np.conj(u)) for lam, u in pairs]
-    conj_coeff = Coefficient2D(b=coeff.b, a_R=np.conj(coeff.a_R),
-                               robin_c=np.conj(coeff.robin_c))
-    conj_field = residual_estimator(mesh, conj_pairs, conj_coeff)
+    conj_params = ModelParams(b=params.b, a_R=np.conj(params.a_R),
+                              c=np.conj(params.c))
+    conj_field = residual_estimator(mesh, conj_pairs, conj_params)
     assert np.max(np.abs(field.eta_sq - conj_field.eta_sq)) < \
         1e-12 * field.total
 
 
 def test_estimator_positive_on_true_cluster():
-    mesh, pairs, coeff = _tri_cluster()
-    field = residual_estimator(mesh, pairs, coeff)
+    mesh, pairs, params = _tri_cluster()
+    field = residual_estimator(mesh, pairs, params)
     assert field.total > 0
     assert np.all(field.eta_sq >= 0)
     assert len(field.eta_sq) == mesh.n_triangles
@@ -189,16 +188,16 @@ _GOLDEN_ETA_P2 = np.array([
 @pytest.mark.parametrize("p,golden", [(1, _GOLDEN_ETA_P1),
                                       (2, _GOLDEN_ETA_P2)])
 def test_estimator_matches_recorded_indicators(p, golden):
-    mesh, pairs, coeff = _tri_cluster(n0=4, p=p)
-    field = residual_estimator(mesh, pairs, coeff, p=p)
+    mesh, pairs, params = _tri_cluster(n0=4, p=p)
+    field = residual_estimator(mesh, pairs, params, p=p)
     assert np.max(np.abs(field.eta_sq - golden)) <= 1e-12 * golden.sum()
 
 
 @pytest.mark.parametrize("p", [1, 2])
 def test_estimator_is_additive_over_pairs(p):
-    mesh, pairs, coeff = _tri_cluster(n0=4, p=p)
-    field = residual_estimator(mesh, pairs, coeff, p=p)
-    summed = sum(residual_estimator(mesh, [pair], coeff, p=p).eta_sq
+    mesh, pairs, params = _tri_cluster(n0=4, p=p)
+    field = residual_estimator(mesh, pairs, params, p=p)
+    summed = sum(residual_estimator(mesh, [pair], params, p=p).eta_sq
                  for pair in pairs)
     assert np.max(np.abs(field.eta_sq - summed)) <= 1e-12 * field.total
 
@@ -316,6 +315,28 @@ def test_adaptive_loop_assembles_only_meshes_within_budget(monkeypatch):
     assert len(sizes) == len(table.rows) >= 2
     assert max(sizes) <= 400
     assert [r.N for r in table.rows] == sizes
+
+
+@pytest.mark.parametrize("p,max_dofs", [(1, 0), (1, 15), (2, 63)])
+def test_adaptive_budget_below_initial_mesh_raises(p, max_dofs):
+    # the initial 4x4 mesh has 16 free P1 and 64 free P2 DOFs
+    with pytest.raises(ValueError, match="initial"):
+        adaptive_loop(CASES["regular2d_tri"], max_dofs=max_dofs, p=p)
+
+
+def test_adaptive_budget_of_initial_mesh_solves_it():
+    table = adaptive_loop(CASES["regular2d_tri"], max_dofs=16)
+    assert [r.N for r in table.rows] == [16]
+
+
+@pytest.mark.parametrize("study", [
+    lambda levels: run_convergence(CASES["regular1d"], 1, levels),
+    lambda levels: sensitivity_study(CASES["regular1d"], [1e-2], 1, levels),
+    lambda levels: eigenfunction_convergence(CASES["regular1d"], 1, levels),
+])
+def test_level_studies_reject_fewer_than_three_levels(study):
+    with pytest.raises(ValueError, match="levels >= 3"):
+        study(2)
 
 
 # ------------------------------------------------------------ failed levels

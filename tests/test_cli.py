@@ -169,17 +169,23 @@ def test_failed_level_is_named_and_exits_1(tmp_path, capsys, monkeypatch):
     ["sensitivity", "--deltas", "x"],
     ["adaptive", "--case", "reduced2d_tri", "--theta", "2"],
     ["convergence", "--levels", "2"],
+    ["eigenfunction", "--levels", "1"],
+    ["sensitivity", "--levels", "2"],
+    ["adaptive", "--case", "reduced2d_tri", "--max-dofs", "10"],
+    ["adaptive", "--case", "reduced2d_tri", "--max-dofs", "0"],
 ])
 def test_bad_option_value_is_usage_error_before_computing(monkeypatch, capsys,
-                                                           argv):
+                                                           tmp_path, argv):
     def computed(*args, **kwargs):
         raise AssertionError("computation started")
 
     for name in ("solve_defect_system", "run_convergence", "sensitivity_study",
-                 "adaptive_loop"):
+                 "adaptive_loop", "eigenfunction_convergence"):
         monkeypatch.setattr(cli, name, computed)
-    assert run(argv) == 2
+    out = tmp_path / "t.csv"
+    assert run(argv + ["--out", str(out)]) == 2
     assert "computation failed" not in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_declared_failure_exits_1_with_its_type(monkeypatch, capsys):

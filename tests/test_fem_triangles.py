@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from defectbench.fem import Coefficient2D, assemble_triangles
+from defectbench.analytic1d import ModelParams
+from defectbench.fem import assemble_triangles
+from defectbench.fem.triangles import free_dof_count
 from defectbench.meshing import ROBIN, initial_square_triangulation, nvb_refine
 
-UNIT = Coefficient2D(b=0.5, a_R=1.0 + 0j, robin_c=0.0 + 0j)
+UNIT = ModelParams(b=0.5, a_R=1.0 + 0j, c=0.0 + 0j)
 
-REGULAR = Coefficient2D(
+REGULAR = ModelParams(
     b=0.5,
     a_R=0.1069220800406739 + 0.08937533852238478j,
-    robin_c=-0.9634059612381408 + 0.5989684988897067j,
+    c=-0.9634059612381408 + 0.5989684988897067j,
 )
 
 
@@ -64,7 +66,7 @@ def test_robin_term_is_boundary_mass():
     c = -0.25 + 0.5j
     base = assemble_triangles(mesh, UNIT, 1)
     robin = assemble_triangles(
-        mesh, Coefficient2D(b=0.5, a_R=1.0 + 0j, robin_c=c), 1
+        mesh, ModelParams(b=0.5, a_R=1.0 + 0j, c=c), 1
     )
     delta = (robin.A - base.A).toarray()
     # difference is c times the mass matrix of the Robin boundary
@@ -109,19 +111,24 @@ def _robin_mass_loop(mesh, p, c):
     return M
 
 
-@pytest.mark.parametrize("p", [1, 2])
-def test_robin_mass_matches_edge_loop_on_graded_mesh(p):
-    # NVB-graded towards the Robin corner (1, 1): Robin edges of many lengths
+def _graded_mesh():
+    """NVB-graded towards the Robin corner (1, 1): Robin edges of many
+    lengths."""
     mesh = initial_square_triangulation(3)
     for _ in range(5):
         centroid = mesh.vertices[mesh.triangles].mean(axis=1)
         near = np.hypot(centroid[:, 0] - 1, centroid[:, 1] - 1) < 0.5
         mesh = nvb_refine(mesh, np.flatnonzero(near))
-    base = assemble_triangles(
-        mesh, Coefficient2D(b=REGULAR.b, a_R=REGULAR.a_R, robin_c=0j), p
-    )
+    return mesh
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_robin_mass_matches_edge_loop_on_graded_mesh(p):
+    mesh = _graded_mesh()
+    base = assemble_triangles(mesh, ModelParams(b=REGULAR.b, a_R=REGULAR.a_R,
+                                                c=0j), p)
     robin = assemble_triangles(mesh, REGULAR, p)
-    ref = _robin_mass_loop(mesh, p, REGULAR.robin_c)
+    ref = _robin_mass_loop(mesh, p, REGULAR.c)
     ref = ref[np.ix_(robin.free, robin.free)]
     assert np.count_nonzero(ref) > 0
     delta = (robin.A - base.A).toarray()
@@ -132,3 +139,11 @@ def test_invalid_degree_rejected():
     mesh = initial_square_triangulation(2)
     with pytest.raises(ValueError):
         assemble_triangles(mesh, UNIT, 3)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("graded", [False, True])
+def test_free_dof_count_is_pencil_size(p, graded):
+    # the adaptive loop's budget check reads the count before assembling
+    mesh = _graded_mesh() if graded else initial_square_triangulation(4)
+    assert free_dof_count(mesh, p) == assemble_triangles(mesh, REGULAR, p).n

@@ -18,6 +18,14 @@ def _contains_node(mesh, x, tol=1e-12):
     return bool(np.any(np.abs(mesh.nodes - x) <= tol))
 
 
+def _areas(mesh):
+    """Signed triangle areas, positive for counterclockwise vertex order."""
+    v, t = mesh.vertices, mesh.triangles
+    d1 = v[t[:, 1]] - v[t[:, 0]]
+    d2 = v[t[:, 2]] - v[t[:, 0]]
+    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+
+
 def _min_angle(mesh):
     v, t = mesh.vertices, mesh.triangles
     angles = []
@@ -61,10 +69,19 @@ def _check_conforming(mesh):
     assert set(np.unique(counts)) <= {1, 2}
 
 
+def test_edges_are_computed_once_and_read_only():
+    mesh = initial_square_triangulation(2)
+    first = mesh.edges()
+    assert mesh.edges() is first
+    for arr in first:
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
 def test_initial_triangulation_geometry():
     mesh = initial_square_triangulation(4)
     assert mesh.n_triangles == 32
-    areas = mesh.areas()
+    areas = _areas(mesh)
     assert np.all(areas > 0)  # counterclockwise orientation
     assert np.sum(areas) == pytest.approx(1.0)
     _check_conforming(mesh)
@@ -77,8 +94,8 @@ def test_uniform_nvb_refinement():
     mesh = initial_square_triangulation(2)
     fine = nvb_refine(mesh, range(mesh.n_triangles))
     assert fine.n_triangles == 2 * mesh.n_triangles
-    assert np.sum(fine.areas()) == pytest.approx(1.0)
-    assert np.all(fine.areas() > 0)
+    assert np.sum(_areas(fine)) == pytest.approx(1.0)
+    assert np.all(_areas(fine) > 0)
     _check_conforming(fine)
 
 
@@ -86,8 +103,8 @@ def test_nvb_closure_keeps_conformity():
     mesh = initial_square_triangulation(2)
     fine = nvb_refine(mesh, [0])  # single marked triangle forces closure
     assert fine.n_triangles > mesh.n_triangles
-    assert np.sum(fine.areas()) == pytest.approx(1.0)
-    assert np.all(fine.areas() > 0)
+    assert np.sum(_areas(fine)) == pytest.approx(1.0)
+    assert np.all(_areas(fine) > 0)
     _check_conforming(fine)
 
 
