@@ -2,7 +2,7 @@
 
 Each case wraps a verified 1D parameter triple (b, a_R, c) with its
 defective eigenvalue of ascent 3.  Tensorization in d dimensions targets
-the eigenvalue d*lambda with algebraic multiplicity 3^d.
+d*lambda with algebraic multiplicity ascent^d (3^d for these cases).
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ class BenchmarkCase:
 
     @property
     def m_alg(self) -> int:
-        return 3**self.dimension
+        return self.config.ascent**self.dimension
 
     @property
     def degrees(self) -> tuple:

@@ -1,10 +1,11 @@
 """Command-line front end for the defective-eigenvalue benchmark suite.
 
 Commands: verify, find-params, convergence, sensitivity, adaptive,
-eigenfunction.  Exit codes: 0 success, 1 computation failure, 2 usage error.
-Usage errors are caught before any computation.  A study whose level failed
-writes its good rows, names each failed level on stderr and exits 1.  Any
-exception outside COMPUTATION_ERRORS is a bug and propagates.
+eigenfunction.  Each declares only the flags it reads.  Exit codes:
+0 success, 1 computation failure, 2 usage error.  Usage errors are caught
+before any computation.  A study whose level failed writes its good rows,
+names each failed level on stderr and exits 1; so does a study that fits
+no rate.  Any exception outside COMPUTATION_ERRORS is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -14,9 +15,11 @@ import json
 import os
 import re
 import sys
+from dataclasses import replace
+from functools import partial
 
 from .analytic1d import (ContourNotConvergedError, DegenerateParametrizationError,
-                         EigenConfig, ModelParams, NoRootHereError)
+                         NoRootHereError)
 from .bench import (CASES, PairingAmbiguityError, adaptive_loop,
                     eigenfunction_convergence, run_convergence, sensitivity_study,
                     write_rates_csv, write_table_csv)
@@ -57,6 +60,30 @@ def parse_complex(text: str) -> complex:
     return complex(float(re_part), float(im_part))
 
 
+def _number(kind, value):
+    """A flag's text, or a JSON number of `kind` but not a bool, as `kind`."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, kind)):
+        raise ValueError(f"not {kind.__name__}: {value!r}")
+    return kind(value)
+
+
+_real, _integer = partial(_number, float), partial(_number, int)
+
+
+def _complex(value) -> complex:
+    """`a+bi` text, a real number, or the {"re", "im"} object find-params writes."""
+    if isinstance(value, dict) and set(value) == {"re", "im"}:
+        return complex(_real(value["re"]), _real(value["im"]))
+    return parse_complex(value) if isinstance(value, str) else complex(_real(value))
+
+
+# the parameter set: config-file key (= argparse dest) -> flag, parser of a
+# flag's text or a config file's value
+PARAMETERS = {"b": ("--b", _real), "a_R": ("--a-R", _complex),
+              "c": ("--c", _complex), "lambda": ("--lambda", _complex),
+              "ascent": ("--defect", _integer)}
+
+
 def float_list(text: str) -> list:
     values = [float(v) for v in text.split(",") if v]
     if not values or any(v <= 0 for v in values):
@@ -71,87 +98,35 @@ def fraction(text: str) -> float:
     return value
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="defectbench",
-        description="benchmarks for defective eigenvalues of "
-        "non-selfadjoint transmission problems",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p, case=True):
-        if case:
-            p.add_argument("--case", default="regular1d")
-        p.add_argument("--p", type=int, default=1, choices=(1, 2, 3))
-        p.add_argument("--levels", type=int, default=8)
-        p.add_argument("--out", default=None)
-        p.add_argument("--config", default=None)
-        p.add_argument("--b", type=float, default=None)
-        p.add_argument("--a-R", dest="a_R", default=None)
-        p.add_argument("--c", default=None)
-        p.add_argument("--lambda", dest="lam", default=None)
-        # None lets a config file's "ascent" apply; run() falls back to 3
-        p.add_argument("--defect", type=int, default=None)
-
-    common(sub.add_parser("verify"))
-    common(sub.add_parser("find-params", help="forge a defective parameter set"))
-    common(sub.add_parser("convergence"))
-    ps = sub.add_parser("sensitivity")
-    common(ps)
-    ps.add_argument("--deltas", type=float_list, default="1e-2,1e-6")
-    pa = sub.add_parser("adaptive")
-    common(pa)
-    pa.add_argument("--theta", type=fraction, default=0.5)
-    pa.add_argument("--max-dofs", dest="max_dofs", type=int, default=100_000)
-    common(sub.add_parser("eigenfunction"))
-    return ap
-
-
-def _apply_config_file(args):
-    """JSON config supplies defaults; explicit flags win."""
-    if not args.config:
-        return
-    with open(args.config) as f:
-        data = json.load(f)
-    for key, value in data.items():
-        attr = key.replace("-", "_")
-        if attr == "lambda":
-            attr = "lam"
-        if attr == "ascent":
-            attr = "defect"
-        if isinstance(value, dict) and set(value) == {"re", "im"}:
-            value = complex(value["re"], value["im"])
-        if getattr(args, attr, None) in (None,) and hasattr(args, attr):
-            setattr(args, attr, value)
-
-
-def _as_complex(value) -> complex:
-    if isinstance(value, (complex, float, int)):
-        return complex(value)
-    return parse_complex(str(value))
+class UsageError(Exception):
+    pass
 
 
 def _resolve_case(args) -> BenchmarkCase:
+    """The named case with the parameters of the config file, then the flags."""
     if args.case not in CASES:
         raise UsageError(f"unknown case {args.case!r}; choose from "
                          f"{sorted(CASES)}")
-    case = CASES[args.case]
-    overrides = (args.b, args.a_R, args.c, args.lam)
-    if all(v is None for v in overrides):
-        return case
-    par = case.config.params
-    b = par.b if args.b is None else float(args.b)
-    a_R = par.a_R if args.a_R is None else _as_complex(args.a_R)
-    c = par.c if args.c is None else _as_complex(args.c)
-    lam = case.config.lam if args.lam is None else _as_complex(args.lam)
-    cfg = EigenConfig(params=ModelParams(b=b, a_R=a_R, c=c), lam=lam,
-                      ascent=args.defect)
-    return BenchmarkCase(id=case.id, config=cfg, dimension=case.dimension,
-                         family=case.family, aligned=case.aligned)
-
-
-class UsageError(Exception):
-    pass
+    given = {}
+    if args.config:
+        with open(args.config) as f:
+            given = json.load(f)
+        if not isinstance(given, dict):
+            raise UsageError(f"{args.config}: config must be a JSON object")
+        given.pop("residuals", None)
+        unknown = sorted(set(given) - set(PARAMETERS))
+        if unknown:
+            raise UsageError(f"{args.config}: unknown keys {unknown}, "
+                             f"not in {list(PARAMETERS)} or residuals")
+    given.update((key, getattr(args, key)) for key in PARAMETERS
+                 if getattr(args, key) is not None)
+    values = {key: PARAMETERS[key][1](value) for key, value in given.items()}
+    cfg = CASES[args.case].config
+    params = replace(cfg.params, **{k: values[k] for k in ("b", "a_R", "c")
+                                    if k in values})
+    return replace(CASES[args.case], config=replace(
+        cfg, params=params, lam=values.get("lambda", cfg.lam),
+        ascent=values.get("ascent", cfg.ascent)))
 
 
 # mesh family each study command needs; convergence runs on every family
@@ -173,103 +148,127 @@ def _check_study(args, case: BenchmarkCase):
         check_levels(args.levels)
 
 
-def _rates_path(out: str) -> str:
-    root, _ = os.path.splitext(out)
-    return root + ".rates.csv"
-
-
 def _rates(table) -> str:
     return ", ".join(f"{k}={v:.3f}" for k, v in table.fitted_rates.items())
 
 
 def _finish(tables, out) -> int:
-    """Write the good rows, name every failed level on stderr, exit code."""
+    """Write the good rows, name failed levels and rateless tables, exit code."""
     if out:
         write_table_csv(out, tables)
-        write_rates_csv(_rates_path(out), tables)
-    failed = [(t.case_id, r) for t in tables for r in t.rows if r.failed]
-    for case_id, row in failed:
-        print(f"{case_id} level {row.level} failed: {row.reason}",
-              file=sys.stderr)
-    return 1 if failed else 0
+        write_rates_csv(os.path.splitext(out)[0] + ".rates.csv", tables)
+    errors = [f"{t.case_id} level {r.level} failed: {r.reason}"
+              for t in tables for r in t.rows if r.failed]
+    errors += [f"{t.case_id}: no rate fitted from {len(t.ok_rows)} good levels"
+               for t in tables if not t.fitted_rates]
+    for line in errors:
+        print(line, file=sys.stderr)
+    return 1 if errors else 0
+
+
+def _verify(args, case) -> int:
+    report = verify_configuration(case.config)
+    print(f"case {case.id}: ascent {report.certified_ascent}, residual "
+          f"{report.residual_norm:.3e}, converged {report.converged}")
+    return 0 if report.converged else 1
+
+
+def _find_params(args, case) -> int:
+    cfg = case.config
+    report = solve_defect_system(cfg.params.b, cfg.ascent,
+                                 (cfg.params.a_R, cfg.params.c, cfg.lam))
+    text = config_to_json(report.solution)
+    if args.out:
+        with open(args.out, "w") as f:
+            f.write(text + "\n")
+    else:
+        print(text)
+    print(f"defect {cfg.ascent}: residual {report.residual_norm:.3e} "
+          f"in {report.iterations} iterations, "
+          f"certified ascent {report.certified_ascent}", file=sys.stderr)
+    return 0 if report.converged else 1
+
+
+def _convergence(args, case) -> int:
+    table = run_convergence(case, args.p, args.levels)
+    print(f"case {case.id} p={args.p}: rates {_rates(table)}")
+    return _finish([table], args.out)
+
+
+def _sensitivity(args, case) -> int:
+    report = sensitivity_study(case, args.deltas, args.p, args.levels)
+    for d in args.deltas:
+        print(f"delta={d:g}: separation {report.separations[d]:.3f}, "
+              + _rates(report.tables[d]))
+    return _finish(list(report.tables.values()), args.out)
+
+
+def _adaptive(args, case) -> int:
+    table = adaptive_loop(case, theta=args.theta, max_dofs=args.max_dofs,
+                          p=args.p)
+    print(f"case {case.id} adaptive: rates {_rates(table)}")
+    return _finish([table], args.out)
+
+
+def _eigenfunction(args, case) -> int:
+    table = eigenfunction_convergence(case, args.p, args.levels)
+    print(f"case {case.id} eigenfunction p={args.p}: rates {_rates(table)}")
+    return _finish([table], args.out)
+
+
+# every flag outside the case and its parameter set
+_FLAGS = {"p": dict(type=int, default=1, choices=(1, 2, 3)),
+          "levels": dict(type=int, default=8), "out": dict(default=None),
+          "deltas": dict(type=float_list, default="1e-2,1e-6"),
+          "theta": dict(type=fraction, default=0.5),
+          "max-dofs": dict(type=int, default=100_000)}
+
+# each command's function and flags beyond --case, --config and the parameters
+_COMMANDS = {"verify": (_verify, ()),
+             "find-params": (_find_params, ("out",)),
+             "convergence": (_convergence, ("p", "levels", "out")),
+             "sensitivity": (_sensitivity, ("p", "levels", "out", "deltas")),
+             "adaptive": (_adaptive, ("p", "out", "theta", "max-dofs")),
+             "eigenfunction": (_eigenfunction, ("p", "levels", "out"))}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(prog="defectbench", description="benchmarks "
+                                 "for defective eigenvalues of non-selfadjoint "
+                                 "transmission problems")
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (func, flags) in _COMMANDS.items():
+        p = sub.add_parser(name)
+        p.set_defaults(func=func)
+        p.add_argument("--case", default="regular1d")
+        p.add_argument("--config", default=None)
+        for key, (flag, _) in PARAMETERS.items():
+            p.add_argument(flag, dest=key, default=None)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
+    return ap
 
 
 def run(argv) -> int:
-    ap = _build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        _apply_config_file(args)
-        if args.defect is None:
-            args.defect = 3
         case = _resolve_case(args)
         if args.command in _STUDY_FAMILY:
             _check_study(args, case)
-        if args.command == "find-params" and args.defect not in DEFECT_ORDERS:
+        if args.command == "find-params" and case.config.ascent not in DEFECT_ORDERS:
             raise UsageError(f"--defect must be one of {DEFECT_ORDERS}")
-    except (UsageError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
     try:
-        if args.command == "verify":
-            report = verify_configuration(case.config)
-            print(
-                f"case {case.id}: ascent {report.certified_ascent}, "
-                f"residual {report.residual_norm:.3e}, "
-                f"converged {report.converged}"
-            )
-            return 0 if report.converged else 1
-
-        if args.command == "find-params":
-            b = case.config.params.b if args.b is None else float(args.b)
-            init = (case.config.params.a_R, case.config.params.c,
-                    case.config.lam)
-            report = solve_defect_system(b, args.defect, init)
-            text = config_to_json(report.solution)
-            if args.out:
-                with open(args.out, "w") as f:
-                    f.write(text + "\n")
-            else:
-                print(text)
-            print(
-                f"defect {args.defect}: residual {report.residual_norm:.3e} "
-                f"in {report.iterations} iterations, "
-                f"certified ascent {report.certified_ascent}",
-                file=sys.stderr,
-            )
-            return 0 if report.converged else 1
-
-        if args.command == "convergence":
-            table = run_convergence(case, args.p, args.levels)
-            print(f"case {case.id} p={args.p}: rates {_rates(table)}")
-            return _finish([table], args.out)
-
-        if args.command == "sensitivity":
-            report = sensitivity_study(case, args.deltas, args.p, args.levels)
-            for d in args.deltas:
-                print(f"delta={d:g}: separation {report.separations[d]:.3f}, "
-                      + _rates(report.tables[d]))
-            return _finish(list(report.tables.values()), args.out)
-
-        if args.command == "adaptive":
-            table = adaptive_loop(case, theta=args.theta,
-                                  max_dofs=args.max_dofs, p=args.p)
-            print(f"case {case.id} adaptive: rates {_rates(table)}")
-            return _finish([table], args.out)
-
-        if args.command == "eigenfunction":
-            table = eigenfunction_convergence(case, args.p, args.levels)
-            print(f"case {case.id} eigenfunction p={args.p}: rates "
-                  f"{_rates(table)}")
-            return _finish([table], args.out)
+        return args.func(args, case)
     except COMPUTATION_ERRORS as exc:
         print(f"computation failed: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 1
-    return 2
 
 
 def main():

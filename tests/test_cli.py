@@ -1,14 +1,31 @@
 """Command-line interface: literals, exit codes, config files, CSV output."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
 from defectbench import cli
-from defectbench.bench import convergence
+from defectbench.bench import REGULAR_CONFIG, convergence
 from defectbench.cli import parse_complex, run
 from defectbench.eigensolve import EigsNotConvergedError, eigs_near
-from defectbench.paramfind import SolverDivergedError
+from defectbench.paramfind import (SolverDivergedError, config_to_json,
+                                   solve_defect_system)
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+@pytest.fixture
+def no_computation(monkeypatch):
+    """Make every computing entry point of the CLI fail the test."""
+    def computed(*args, **kwargs):
+        raise AssertionError("computation started")
+
+    for name in ("verify_configuration", "solve_defect_system",
+                 "run_convergence", "sensitivity_study", "adaptive_loop",
+                 "eigenfunction_convergence"):
+        monkeypatch.setattr(cli, name, computed)
 
 
 # ------------------------------------------------------------ complex parsing
@@ -129,16 +146,17 @@ def test_config_file_ascent_applies_without_defect_flag(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["convergence", "--case", "regular2d_tri", "--p", "3"],
+    ["convergence", "--case", "regular2d_tri", "--p", "3", "--levels", "3"],
     ["adaptive", "--case", "reduced2d_tri", "--p", "3"],
     ["adaptive", "--case", "regular1d"],
-    ["eigenfunction", "--case", "regular2d_tri"],
-    ["sensitivity", "--case", "regular2d_tensor"],
+    ["eigenfunction", "--case", "regular2d_tri", "--levels", "3"],
+    ["sensitivity", "--case", "regular2d_tensor", "--levels", "3"],
 ])
 def test_study_the_case_cannot_run_is_usage_error(tmp_path, capsys, argv):
     out = tmp_path / "t.csv"
-    assert run(argv + ["--levels", "3", "--out", str(out)]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert run(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")  # the study's rule, not argparse's
     assert not out.exists()
 
 
@@ -174,14 +192,9 @@ def test_failed_level_is_named_and_exits_1(tmp_path, capsys, monkeypatch):
     ["adaptive", "--case", "reduced2d_tri", "--max-dofs", "10"],
     ["adaptive", "--case", "reduced2d_tri", "--max-dofs", "0"],
 ])
-def test_bad_option_value_is_usage_error_before_computing(monkeypatch, capsys,
-                                                           tmp_path, argv):
-    def computed(*args, **kwargs):
-        raise AssertionError("computation started")
-
-    for name in ("solve_defect_system", "run_convergence", "sensitivity_study",
-                 "adaptive_loop", "eigenfunction_convergence"):
-        monkeypatch.setattr(cli, name, computed)
+def test_bad_option_value_is_usage_error_before_computing(no_computation,
+                                                           capsys, tmp_path,
+                                                           argv):
     out = tmp_path / "t.csv"
     assert run(argv + ["--out", str(out)]) == 2
     assert "computation failed" not in capsys.readouterr().err
@@ -205,3 +218,80 @@ def test_programming_error_propagates_out_of_run(monkeypatch):
     monkeypatch.setattr(convergence, "eigs_near", broken)
     with pytest.raises(TypeError, match="bad argument"):
         run(["convergence", "--case", "regular1d", "--levels", "3"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--levels", "0"],
+    ["verify", "--p", "3"],
+    ["verify", "--out", "x.csv"],
+    ["find-params", "--p", "2"],
+    ["adaptive", "--case", "reduced2d_tri", "--levels", "3"],
+])
+def test_flag_the_command_does_not_read_is_usage_error(no_computation, capsys,
+                                                       tmp_path, monkeypatch,
+                                                       argv):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_defect_flag_applies_without_other_parameters(capsys):
+    # regular1d has ascent 3, so the claim of ascent 2 must not be certified
+    assert run(["verify", "--case", "regular1d", "--defect", "2"]) == 1
+    assert "converged False" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("doc", [
+    [1, 2],
+    {"levels": 2, "p": 2, "case": "nope"},
+    {"ascent": "x"},
+    {"ascent": 2.5},
+    {"b": True},
+    {"a_R": {"re": 1.0, "im": None}},
+])
+def test_malformed_config_value_is_usage_error(no_computation, tmp_path,
+                                               capsys, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "t.csv"
+    assert run(["convergence", "--config", str(cfg), "--levels", "3",
+                "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+def test_cluster_size_follows_the_ascent(tmp_path, capsys):
+    par = REGULAR_CONFIG.params
+    forged = solve_defect_system(0.4, 2, (par.a_R, par.c, REGULAR_CONFIG.lam))
+    assert forged.certified_ascent == 2
+    cfg = tmp_path / "ascent2.json"
+    cfg.write_text(config_to_json(forged.solution))
+    out = tmp_path / "conv.csv"
+    assert run(["convergence", "--config", str(cfg), "--levels", "8",
+                "--p", "1", "--out", str(out)]) == 0
+    lines = out.read_text().strip().split("\n")
+    assert len(lines) == 1 + 8 * (2 + 1)  # header + 8 levels x (2 eigs + mean)
+    rates = {line.split(",")[2]: float(line.split(",")[3])
+             for line in (tmp_path / "conv.rates.csv").read_text().split()[1:]}
+    assert set(rates) == {"err1", "err2", "mean"}
+    assert rates["mean"] == pytest.approx(-2.0, abs=0.1)  # P1 in 1D: h^2
+
+
+def test_study_that_fits_no_rate_exits_1(tmp_path, capsys):
+    out = tmp_path / "amr.csv"
+    # 16 free P1 DOFs: the budget admits the initial mesh only
+    assert run(["adaptive", "--case", "reduced2d_tri", "--max-dofs", "16",
+                "--out", str(out)]) == 1
+    assert ("reduced2d_tri: no rate fitted from 1 good levels"
+            in capsys.readouterr().err)
+    assert len(out.read_text().strip().split("\n")) == 1 + 9 + 1
+
+
+def test_readme_commands_parse():
+    commands = [line.split("#")[0] for line in README.read_text().splitlines()
+                if line.startswith("defectbench ")]
+    assert len(commands) >= 7
+    parser = cli._build_parser()
+    for line in commands:
+        parser.parse_args(shlex.split(line)[1:])
