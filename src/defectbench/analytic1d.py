@@ -30,6 +30,7 @@ __all__ = [
     "taylor_coefficients",
     "default_radius",
     "ascent_of",
+    "roots_in_disc",
     "eigenfunction_jet",
 ]
 
@@ -38,6 +39,10 @@ MAX_NODES = 16 * NODES
 ASCENT_TOL = 1e-6
 CERT_RTOL = 1e-8
 MAX_ORDER = 6  # highest zero order ascent_of looks for
+# degree of the Taylor polynomial whose roots start Newton in roots_in_disc;
+# its scaled tail is ~1e-15 on the published sets at radius |lambda|/2
+ROOT_ORDER = 16
+NEWTON_STEPS = 8
 
 
 class ContourNotConvergedError(RuntimeError):
@@ -240,6 +245,30 @@ def ascent_of(params: ModelParams, lambda0: complex) -> int:
     raise NoRootHereError(
         f"no nonvanishing Taylor coefficient up to order {MAX_ORDER}"
     )
+
+
+def roots_in_disc(params: ModelParams, center: complex,
+                  radius: float) -> np.ndarray:
+    """Roots of det M in |lambda - center| < radius, sorted.
+
+    Their number is the winding number of det M on the certified contour.
+    They start at the roots of the Taylor polynomial nearest the centre, and
+    Newton steps on det M polish each while the step lowers |det M|.  A disc
+    that crosses a branch cut of the square roots fails certification.
+    """
+    gamma, _, fv = _certified_taylor(
+        lambda z: det_transmission(params, z), center, ROOT_ORDER, radius
+    )
+    count = round(np.sum(np.angle(np.roll(fv, -1) / fv)) / (2 * np.pi))
+    poly = (gamma * radius ** np.arange(ROOT_ORDER + 1))[::-1]
+    w = np.roots(poly)
+    lam = center + radius * w[np.argsort(np.abs(w))[:count]]
+    for _ in range(NEWTON_STEPS):
+        val = det_transmission(params, lam)
+        step = radius * val / np.polyval(np.polyder(poly), (lam - center) / radius)
+        lower = np.abs(det_transmission(params, lam - step)) < np.abs(val)
+        lam = np.where(lower, lam - step, lam)
+    return np.sort_complex(lam)
 
 
 @dataclass

@@ -12,7 +12,7 @@ from .convergence import (
 from .eigenfunction import eigenfunction_convergence
 from .io import write_rates_csv, write_table_csv
 from .sensitivity import (
-    PairingAmbiguityError,
+    RootCountError,
     SensitivityReport,
     compute_reference_cluster,
     sensitivity_study,
@@ -31,7 +31,7 @@ __all__ = [
     "sensitivity_study",
     "compute_reference_cluster",
     "SensitivityReport",
-    "PairingAmbiguityError",
+    "RootCountError",
     "residual_estimator",
     "EstimatorField",
     "dorfler_mark",

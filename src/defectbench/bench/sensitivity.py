@@ -2,9 +2,10 @@
 
 A real perturbation delta of the Robin constant splits the defective
 triple into simple eigenvalues.  Errors are measured two ways: per
-eigenvalue against high-order reference values lambda_j(delta), and the
-cluster mean against the unperturbed defective eigenvalue (which it no
-longer approximates once the split dominates).
+eigenvalue against the reference values lambda_j(delta), the roots of the
+transmission determinant det M, and the cluster mean against the
+unperturbed defective eigenvalue (which it no longer approximates once the
+split dominates).
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from itertools import permutations
 
 import numpy as np
 
-from ..analytic1d import ModelParams
-from ..eigensolve import eigs_near, mean_of_cluster, select_cluster
+from ..analytic1d import ModelParams, roots_in_disc
+from ..eigensolve import eigs_near, select_cluster
 from .cases import BenchmarkCase
 from .convergence import (
     LEVEL_ERRORS,
@@ -25,7 +26,6 @@ from .convergence import (
     cluster_row,
     failed_row,
     level_elements,
-    solver_floor,
 )
 
 __all__ = [
@@ -33,14 +33,20 @@ __all__ = [
     "sensitivity_study",
     "compute_reference_cluster",
     "PairingAmbiguityError",
+    "RootCountError",
 ]
 
-REFERENCE_EXPONENTS = (10, 11, 12)  # P3 meshes with n = 2^k elements
-REFERENCE_DEGREE = 3
+# reference disc radius over |lambda|: it holds the split roots of the
+# published sets for delta <= 0.1, clear of the branch cut of sqrt(lambda)
+REFERENCE_RADIUS = 0.5
 
 
 class PairingAmbiguityError(RuntimeError):
-    """Nearest-match pairing across meshes is ambiguous and consequential."""
+    """Nearest-match pairing to the references is ambiguous and consequential."""
+
+
+class RootCountError(RuntimeError):
+    """The reference disc does not hold exactly m_alg roots of det M."""
 
 
 def _perturbed_params(case: BenchmarkCase, delta: float) -> ModelParams:
@@ -76,59 +82,26 @@ def _pair_to(reference: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def compute_reference_cluster(case: BenchmarkCase, delta: float) -> np.ndarray:
-    """Three reference eigenvalues of the delta-perturbed 1D problem.
+    """The m_alg eigenvalues of the delta-perturbed 1D problem near lambda.
 
-    High-order elements on a sequence of fine aligned meshes, followed by
-    per-eigenvalue Richardson extrapolation with the observed local order.
-
-    When the perturbation does not separate the cluster beyond the
-    floating-point sensitivity of a (near-)defective triple, individual
-    eigenvalues carry no information — only the cluster mean does — and
-    the oracle returns the mean replicated, which is the exact limit for
-    delta = 0.
+    They are the roots of det M in the disc of radius REFERENCE_RADIUS |lambda|
+    about the unperturbed eigenvalue lambda, counted by the argument
+    principle, and sorted; delta = 0 returns lambda itself, m_alg times.
+    Raises RootCountError when the disc holds another number of roots.
     """
     if delta < 0:
         raise ValueError(f"delta must be >= 0, got {delta}")
     if case.dimension != 1:
         raise ValueError("reference oracle is one-dimensional")
-    params = _perturbed_params(case, delta)
-    target, m = case.target, case.m_alg
-
-    clusters, floors = [], []
-    for k in REFERENCE_EXPONENTS:
-        pencil = build_pencil_1d(case, REFERENCE_DEGREE, 2**k, params=params)
-        spectrum = eigs_near(pencil, target, m)
-        idx = select_cluster(spectrum, target, m)
-        clusters.append(spectrum.values[idx])
-        floors.append(solver_floor(pencil))
-
-    fine_vals = clusters[-1]
-    spread = float(np.max(np.abs(fine_vals[:, None] - fine_vals[None, :])))
-    # per-eigenvalue fp sensitivity of an ascent-3 cluster: backward noise
-    # enters at the 1/3 power (the 100 in solver_floor is stripped first)
-    fuzz = 3.0 * (floors[-1] / 100.0) ** (1.0 / 3.0) * abs(target) ** (2.0 / 3.0)
-    if spread <= fuzz:
-        # unresolved split: the stable quantity is the mean (coarsest mesh:
-        # the mean floor grows with the norm ratio)
-        return np.full(m, mean_of_cluster(clusters[0]))
-
-    coarse = np.sort_complex(clusters[0])
-    mid = _pair_to(coarse, clusters[1])
-    fine = _pair_to(mid, clusters[2])
-
-    refs = np.empty(m, dtype=complex)
-    for j in range(m):
-        d1 = abs(mid[j] - coarse[j])
-        d2 = abs(fine[j] - mid[j])
-        if d1 > 0 and d2 <= d1 / 4.0:
-            # clean decay: Richardson with the observed local order
-            q = min(max(np.log2(d1 / d2), 0.5), 8.0)
-            refs[j] = fine[j] + (fine[j] - mid[j]) / (2.0**q - 1.0)
-        else:
-            # noise-flat differences: the mid mesh is converged and less
-            # noisy than the finest
-            refs[j] = mid[j]
-    return refs
+    lam, m = case.target, case.m_alg
+    if delta == 0:
+        return np.full(m, lam)
+    radius = REFERENCE_RADIUS * abs(lam)
+    roots = roots_in_disc(_perturbed_params(case, delta), lam, radius)
+    if len(roots) != m:
+        raise RootCountError(f"delta {delta:g}: det M has {len(roots)} roots "
+                             f"within {radius:.3g} of {lam}, not {m}")
+    return roots
 
 
 @dataclass
@@ -136,7 +109,7 @@ class SensitivityReport:
     case_id: str
     p: int
     deltas: list
-    references: dict = field(default_factory=dict)  # delta -> 3 values
+    references: dict = field(default_factory=dict)  # delta -> m_alg values
     tables: dict = field(default_factory=dict)  # delta -> ConvergenceTable
     separations: dict = field(default_factory=dict)  # delta -> max pair dist
 
@@ -179,8 +152,8 @@ def sensitivity_study(case: BenchmarkCase, deltas, p: int,
                 paired = _pair_to(refs, values)
             except PairingAmbiguityError:
                 # coarse levels cannot distinguish a barely split cluster;
-                # fall back to sorted pairing which is error-equivalent there
-                paired = _sorted_pairing(refs, values)
+                # sorted order (as refs) is error-equivalent there
+                paired = np.sort_complex(values)
             table.rows.append(cluster_row(
                 level, pencil, target, values, values=paired,
                 errors=np.sort(np.abs(refs - paired))[::-1],
@@ -188,12 +161,3 @@ def sensitivity_study(case: BenchmarkCase, deltas, p: int,
         table.fit_all()
         report.tables[delta] = table
     return report
-
-
-def _sorted_pairing(reference: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Pair by lexicographic complex sort; used when matching is ambiguous."""
-    order_r = np.argsort(reference)
-    order_v = np.argsort(values)
-    out = np.empty_like(values)
-    out[order_r] = values[order_v]
-    return out

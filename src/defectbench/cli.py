@@ -3,9 +3,11 @@
 Commands: verify, find-params, convergence, sensitivity, adaptive,
 eigenfunction.  Each declares only the flags it reads.  Exit codes:
 0 success, 1 computation failure, 2 usage error.  Usage errors are caught
-before any computation.  A study whose level failed writes its good rows,
-names each failed level on stderr and exits 1; so does a study that fits
-no rate.  Any exception outside COMPUTATION_ERRORS is a bug and propagates.
+before any computation but the certification of a study's parameter set,
+which exits 2 when the certified ascent is not the case's ascent.
+A study whose level failed writes its good rows, names each failed level
+on stderr and exits 1; so does a study that fits no rate.  Any exception
+outside COMPUTATION_ERRORS is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from functools import partial
 
 from .analytic1d import (ContourNotConvergedError, DegenerateParametrizationError,
                          NoRootHereError)
-from .bench import (CASES, PairingAmbiguityError, adaptive_loop,
+from .bench import (CASES, RootCountError, adaptive_loop,
                     eigenfunction_convergence, run_convergence, sensitivity_study,
                     write_rates_csv, write_table_csv)
 from .bench.adaptive import initial_mesh
@@ -36,7 +38,7 @@ __all__ = ["COMPUTATION_ERRORS", "main", "parse_complex", "run"]
 COMPUTATION_ERRORS = (ContourNotConvergedError, NoRootHereError,
                       DegenerateParametrizationError, SolverDivergedError,
                       LeftAdmissibleRegionError, RankDeficientJacobianError,
-                      PairingAmbiguityError) + LEVEL_ERRORS
+                      RootCountError) + LEVEL_ERRORS
 
 _UNSIGNED = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 _FLOAT = rf"[+-]?{_UNSIGNED}"
@@ -120,7 +122,14 @@ def _resolve_case(args) -> BenchmarkCase:
                              f"not in {list(PARAMETERS)} or residuals")
     given.update((key, getattr(args, key)) for key in PARAMETERS
                  if getattr(args, key) is not None)
-    values = {key: PARAMETERS[key][1](value) for key, value in given.items()}
+    values = {}
+    for key, value in given.items():
+        try:
+            values[key] = PARAMETERS[key][1](value)
+        except ValueError as exc:  # name the flag, or else the config key
+            where = (PARAMETERS[key][0] if getattr(args, key) is not None
+                     else f"{args.config}: {key}")
+            raise UsageError(f"{where}: {exc}") from None
     cfg = CASES[args.case].config
     params = replace(cfg.params, **{k: values[k] for k in ("b", "a_R", "c")
                                     if k in values})
@@ -135,7 +144,9 @@ _STUDY_FAMILY = {"convergence": None, "sensitivity": "interval",
 
 
 def _check_study(args, case: BenchmarkCase):
-    """Reject a case, degree, level count or DOF budget the study cannot run."""
+    """Reject a case, degree, level count or DOF budget the study cannot run,
+    and a parameter set not certified at the case's ascent (raises
+    ContourNotConvergedError when the certification's contour rule fails)."""
     family = _STUDY_FAMILY[args.command]
     if family is not None and case.family != family:
         raise UsageError(f"{args.command} needs a {family} case, not {case.id}")
@@ -146,6 +157,10 @@ def _check_study(args, case: BenchmarkCase):
         initial_mesh(args.max_dofs, args.p)
     else:
         check_levels(args.levels)
+    report = verify_configuration(case.config)
+    if not report.converged:
+        raise UsageError(f"case {case.id}: certified ascent "
+                         f"{report.certified_ascent}, not {case.config.ascent}")
 
 
 def _rates(table) -> str:
@@ -260,7 +275,7 @@ def run(argv) -> int:
             _check_study(args, case)
         if args.command == "find-params" and case.config.ascent not in DEFECT_ORDERS:
             raise UsageError(f"--defect must be one of {DEFECT_ORDERS}")
-    except (UsageError, ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError, ContourNotConvergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

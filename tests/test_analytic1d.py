@@ -16,6 +16,7 @@ from defectbench.analytic1d import (
     det_transmission,
     eigenfunction_jet,
     fundamental_solutions,
+    roots_in_disc,
     scaled_magnitudes,
     taylor_coefficients,
     transmission_matrix,
@@ -208,3 +209,23 @@ def test_jet_matches_earlier_certification_loop(config):
                           _A1=A1, _A2=A2)
     for got, want in zip(jet.value_matrix(x), reference.value_matrix(x)):
         assert got.tobytes() == want.tobytes()
+
+
+def test_roots_in_disc_closed_form():
+    # lambda cos(sqrt(lambda)) vanishes at ((k + 1/2) pi)^2: two in [15, 65]
+    roots = roots_in_disc(SELFADJOINT, 40.0, 25.0)
+    exact = np.array([(1.5 * np.pi) ** 2, (2.5 * np.pi) ** 2])
+    assert np.max(np.abs(roots - exact)) <= 1e-12 * np.max(exact)
+    assert len(roots_in_disc(SELFADJOINT, 40.0, 15.0)) == 0
+
+
+def test_roots_in_disc_counts_a_triple_root_three_times():
+    roots = roots_in_disc(REGULAR, REGULAR_LAMBDA, 0.5 * abs(REGULAR_LAMBDA))
+    assert len(roots) == 3
+    # a triple root is resolved only to about eps^(1/3)
+    assert np.max(np.abs(roots - REGULAR_LAMBDA)) <= 1e-4 * abs(REGULAR_LAMBDA)
+
+
+def test_roots_in_disc_across_the_branch_cut_fails_certification():
+    with pytest.raises(ContourNotConvergedError):
+        roots_in_disc(REGULAR, -3.0 + 1.0j, 2.0)

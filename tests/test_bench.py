@@ -1,18 +1,19 @@
 """Benchmark drivers: rate fits, marking, estimator, references, CSV output."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 from scipy.optimize import linear_sum_assignment
 
-from defectbench.analytic1d import Jet, ModelParams
+from defectbench.analytic1d import Jet, ModelParams, det_transmission
 from defectbench.bench import (
     CASES,
     EstimatorField,
     NoFitPointsError,
-    PairingAmbiguityError,
+    RootCountError,
     adaptive_loop,
     compute_reference_cluster,
     dorfler_mark,
@@ -31,7 +32,7 @@ from defectbench.bench.convergence import (
 )
 from defectbench.bench.io import HEADER, RATES_HEADER, format_float
 from defectbench.bench import adaptive, convergence, eigenfunction, sensitivity
-from defectbench.bench.sensitivity import _pair_to
+from defectbench.bench.sensitivity import PairingAmbiguityError, _pair_to
 from defectbench.eigensolve import EigsNotConvergedError, eigs_near, select_cluster
 from defectbench.fem import assemble_tensor, assemble_triangles
 from defectbench.meshing import initial_square_triangulation
@@ -232,9 +233,40 @@ def test_tensor_cluster_matches_pairwise_sums():
 def test_reference_cluster_consistent_with_unperturbed_target():
     case = CASES["regular1d"]
     refs = compute_reference_cluster(case, 0.0)
-    assert len(refs) == case.m_alg
-    target = case.target
-    assert np.max(np.abs(refs - target)) < 1e-4 * abs(target)
+    assert np.array_equal(refs, np.full(case.m_alg, case.target))
+
+
+@pytest.mark.parametrize("case_id", ["regular1d", "reduced1d"])
+@pytest.mark.parametrize("delta", [1e-6, 1e-2, 0.1])
+def test_reference_cluster_holds_distinct_roots_of_det(case_id, delta):
+    case = CASES[case_id]
+    refs = compute_reference_cluster(case, delta)
+    params = sensitivity._perturbed_params(case, delta)
+    circle = case.target + 0.5 * abs(case.target) * np.exp(
+        2j * np.pi * np.arange(64) / 64)
+    scale = np.max(np.abs(det_transmission(params, circle)))
+    assert np.max(np.abs(det_transmission(params, refs))) <= 1e-12 * scale
+    gaps = np.abs(refs[:, None] - refs[None, :])[np.triu_indices(case.m_alg, 1)]
+    assert np.all(gaps > 1e-2)
+
+
+@pytest.mark.parametrize("delta,tol", [(1e-2, 1e-7), (1e-6, 3e-5)])
+def test_reduced1d_reference_matches_aligned_p3_pencil(delta, tol):
+    # a node at the jump b = 1/3 restores the high-order rate of P3; the
+    # distance is the pencil's own error (3.1e-8 and 9.9e-6 measured)
+    case = CASES["reduced1d"]
+    refs = compute_reference_cluster(case, delta)
+    pencil = build_pencil_1d(replace(case, aligned=True), 3, 384,
+                             params=sensitivity._perturbed_params(case, delta))
+    spectrum = eigs_near(pencil, case.target, case.m_alg)
+    values = spectrum.values[select_cluster(spectrum, case.target, case.m_alg)]
+    assert np.max(np.abs(_pair_to(refs, values) - refs)) <= tol
+
+
+def test_reference_disc_without_the_whole_cluster_raises():
+    # at delta = 0.5 two of the three roots of regular1d leave the disc
+    with pytest.raises(RootCountError, match="1 roots"):
+        sensitivity_study(CASES["regular1d"], [0.5], 1, 3)
 
 
 def _pair_to_lsa(reference, values):
@@ -366,10 +398,6 @@ def _failing_eigs_near(monkeypatch, module, exc, at_call=2):
         return eigs_near(*args, **kwargs)
 
     monkeypatch.setattr(module, "eigs_near", fake)
-    # the sensitivity references are not under test; they stay off the
-    # driver's eigs_near and cost nothing
-    monkeypatch.setattr(sensitivity, "compute_reference_cluster",
-                        lambda case, delta: np.full(case.m_alg, case.target))
 
 
 @pytest.mark.parametrize("driver", sorted(DRIVERS))

@@ -28,6 +28,17 @@ def no_computation(monkeypatch):
         monkeypatch.setattr(cli, name, computed)
 
 
+@pytest.fixture
+def no_study(monkeypatch):
+    """Make every study of the CLI fail the test; certification still runs."""
+    def computed(*args, **kwargs):
+        raise AssertionError("study started")
+
+    for name in ("run_convergence", "sensitivity_study", "adaptive_loop",
+                 "eigenfunction_convergence"):
+        monkeypatch.setattr(cli, name, computed)
+
+
 # ------------------------------------------------------------ complex parsing
 
 
@@ -259,6 +270,66 @@ def test_malformed_config_value_is_usage_error(no_computation, tmp_path,
                 "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["--b", "x"], "error: --b: could not convert string to float: 'x'"),
+    (["--lambda", "5+2j"], "error: --lambda: malformed complex literal"),
+    (["--defect", "2.5"], "error: --defect: invalid literal for int()"),
+])
+def test_malformed_flag_value_is_named(no_computation, capsys, argv, error):
+    assert run(["convergence", "--levels", "3"] + argv) == 2
+    assert capsys.readouterr().err.startswith(error)
+
+
+@pytest.mark.parametrize("doc,key", [({"ascent": "x"}, "ascent"),
+                                     ({"b": True}, "b"),
+                                     ({"a_R": {"re": 1.0, "im": None}}, "a_R")])
+def test_malformed_config_value_is_named(no_computation, tmp_path, capsys,
+                                         doc, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert run(["convergence", "--config", str(cfg), "--levels", "3"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {cfg}: {key}: ")
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["convergence", "--case", "regular1d", "--defect", "2", "--levels", "8"],
+     "error: case regular1d: certified ascent 3, not 2"),
+    (["convergence", "--case", "regular1d", "--defect", "4", "--levels", "8"],
+     "error: case regular1d: certified ascent 3, not 4"),
+    (["convergence", "--case", "regular2d_tri", "--b", "0.4", "--levels", "3"],
+     "error: case regular2d_tri: certified ascent 0, not 3"),
+    (["sensitivity", "--case", "regular1d", "--defect", "2"],
+     "certified ascent 3, not 2"),
+    (["eigenfunction", "--case", "regular1d", "--lambda", "5+6i"],
+     "certified ascent 0, not 3"),
+    (["adaptive", "--case", "reduced2d_tri", "--defect", "1"],
+     "certified ascent 3, not 1"),
+    (["convergence", "--lambda", "1e5", "--levels", "3"],
+     "error: contour rule not converged"),
+])
+def test_study_of_an_uncertified_ascent_is_usage_error(no_study, tmp_path,
+                                                       capsys, argv, error):
+    out = tmp_path / "t.csv"
+    assert run(argv + ["--out", str(out)]) == 2
+    assert error in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sensitivity_without_a_reference_exits_1(capsys):
+    assert run(["sensitivity", "--case", "regular1d", "--deltas", "0.5",
+                "--levels", "3"]) == 1
+    assert ("computation failed: RootCountError: delta 0.5: det M has 1 roots"
+            in capsys.readouterr().err)
+
+
+def test_sensitivity_separations_are_those_of_the_roots_of_det(capsys):
+    # the separations come from the references alone, not from the levels
+    assert run(["sensitivity", "--case", "reduced1d", "--levels", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "delta=0.01: separation 12.078," in out
+    assert "delta=1e-06: separation 0.533," in out
 
 
 def test_cluster_size_follows_the_ascent(tmp_path, capsys):
