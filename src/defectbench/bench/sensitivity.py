@@ -106,9 +106,6 @@ def compute_reference_cluster(case: BenchmarkCase, delta: float) -> np.ndarray:
 
 @dataclass
 class SensitivityReport:
-    case_id: str
-    p: int
-    deltas: list
     references: dict = field(default_factory=dict)  # delta -> m_alg values
     tables: dict = field(default_factory=dict)  # delta -> ConvergenceTable
     separations: dict = field(default_factory=dict)  # delta -> max pair dist
@@ -127,7 +124,7 @@ def sensitivity_study(case: BenchmarkCase, deltas, p: int,
     if any(d <= 0 for d in deltas):
         raise ValueError("deltas must be positive")
     check_levels(levels)
-    report = SensitivityReport(case_id=case.id, p=p, deltas=list(deltas))
+    report = SensitivityReport()
     target, m = case.target, case.m_alg
     for delta in deltas:
         refs = compute_reference_cluster(case, delta)

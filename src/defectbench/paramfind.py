@@ -165,24 +165,24 @@ def solve_defect_system(b: float, nu: int, init) -> ForgeReport:
 def verify_configuration(config: EigenConfig) -> ForgeReport:
     """Recompute gamma_0..gamma_nu and the certified ascent for a config."""
     params, lam, nu = config.params, config.lam, config.ascent
-    _, mags = _scaled_coefficients(params, lam, nu, _solver_radius(lam))
-    scale = float(np.max(mags))
-    residuals = list(mags / scale) if scale > 0 else list(mags)
+    # a set whose contour rule does not converge is uncertified: ascent 0
+    residuals, rnorm, certified = [], float("nan"), 0
     try:
+        _, mags = _scaled_coefficients(params, lam, nu, _solver_radius(lam))
+        scale = float(np.max(mags))
+        residuals = list(mags / scale) if scale > 0 else list(mags)
+        rnorm = float(np.linalg.norm(mags[:nu] / scale)) if scale > 0 else 0.0
         certified = ascent_of(params, lam)
-        ok = certified == nu
     except (NoRootHereError, ContourNotConvergedError):
-        certified = 0
-        ok = False
+        pass
     verified = EigenConfig(params=params, lam=lam, ascent=max(certified, 1),
                            residuals=residuals[: nu + 1])
-    rnorm = float(np.linalg.norm(np.array(residuals[:nu]))) if scale > 0 else 0.0
     return ForgeReport(
         solution=verified,
         iterations=0,
         residual_norm=rnorm,
         certified_ascent=certified,
-        converged=ok,
+        converged=certified == nu,
     )
 
 

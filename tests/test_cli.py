@@ -306,14 +306,27 @@ def test_malformed_config_value_is_named(no_computation, tmp_path, capsys,
      "certified ascent 0, not 3"),
     (["adaptive", "--case", "reduced2d_tri", "--defect", "1"],
      "certified ascent 3, not 1"),
-    (["convergence", "--lambda", "1e5", "--levels", "3"],
-     "error: contour rule not converged"),
 ])
 def test_study_of_an_uncertified_ascent_is_usage_error(no_study, tmp_path,
                                                        capsys, argv, error):
     out = tmp_path / "t.csv"
     assert run(argv + ["--out", str(out)]) == 2
     assert error in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_uncertifiable_set_is_uncertified_in_verify_and_studies(tmp_path,
+                                                               capsys):
+    # the contour rule of --lambda 1e5 does not converge: verify reports
+    # ascent 0 and a study refuses the set, instead of either raising
+    assert run(["verify", "--lambda", "1e5"]) == 1
+    assert capsys.readouterr().out == (
+        "case regular1d: ascent 0, residual nan, converged False\n")
+    out = tmp_path / "t.csv"
+    assert run(["convergence", "--lambda", "1e5", "--levels", "3",
+                "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: case regular1d: certified ascent 0, not 3\n")
     assert not out.exists()
 
 

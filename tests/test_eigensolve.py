@@ -6,6 +6,10 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from defectbench.analytic1d import ModelParams
+from defectbench.bench import adaptive
+from defectbench.bench.adaptive import adaptive_loop
+from defectbench.bench.cases import CASES
+from defectbench.bench.convergence import INITIAL_SQUARE_DIVISIONS
 from defectbench.eigensolve import (
     _arnoldi,
     eigs_near,
@@ -14,7 +18,12 @@ from defectbench.eigensolve import (
     select_cluster,
 )
 from defectbench.fem import Pencil, assemble_interval
-from defectbench.meshing import uniform_interval_mesh
+from defectbench.fem.triangles import assemble_triangles
+from defectbench.meshing import (
+    initial_square_triangulation,
+    nvb_refine,
+    uniform_interval_mesh,
+)
 
 REGULAR = ModelParams(
     b=0.5,
@@ -102,14 +111,18 @@ def _shift_invert(pencil, sigma):
 def test_arnoldi_basis_orthonormal_and_relation_holds():
     op = _shift_invert(_regular_p1(256), REGULAR_LAMBDA)
     v0 = np.ones(256, dtype=complex)
-    V, H = _arnoldi(op, v0, 40)
-    assert V.shape == (256, 40) and H.shape == (40, 40)
-    assert np.linalg.norm(V.conj().T @ V - np.eye(40)) < 1e-12
-    # op(V_{k-1}) = V_k H_{k,k-1}: the last returned column has no successor
-    lhs = np.column_stack([op(V[:, j]) for j in range(39)])
-    assert np.linalg.norm(lhs - V @ H[:, :39]) < 1e-12 * np.linalg.norm(lhs)
-    # the cluster Ritz values match the column MGS reference to the
-    # eps^(1/3) ~ 6e-6 sensitivity of an ascent-3 cluster
+    V, H = _arnoldi(op, v0, 40, 3)
+    # the cluster's Schur block is invariant well before the cap, and the
+    # test runs only at multiples of m = 3
+    j = V.shape[1]
+    assert j < 40 and j % 3 == 0
+    assert V.shape == (256, j) and H.shape == (j, j)
+    assert np.linalg.norm(V.conj().T @ V - np.eye(j)) < 1e-12
+    # op(V_{j-1}) = V_j H_{j,j-1}: the last returned column has no successor
+    lhs = np.column_stack([op(V[:, i]) for i in range(j - 1)])
+    assert np.linalg.norm(lhs - V @ H[:, : j - 1]) < 1e-12 * np.linalg.norm(lhs)
+    # the cluster Ritz values match the full 40-step column MGS reference
+    # to the eps^(1/3) ~ 6e-6 sensitivity of an ascent-3 cluster
     def cluster(H):
         theta = np.linalg.eigvals(H)
         theta = theta[np.argsort(-np.abs(theta))[:3]]
@@ -128,12 +141,48 @@ def test_arnoldi_early_exit_on_exact_eigenvalue_shift():
     for sigma in cluster:
         op = _shift_invert(pencil, sigma)
         v0 = np.ones(16, dtype=complex)
-        V, H = _arnoldi(op, v0, 16)
+        V, H = _arnoldi(op, v0, 16, 3)
         V_ref, _ = _arnoldi_mgs(op, v0, 16)
         j1 = V_ref.shape[1]
         assert j1 < 16
         assert V.shape == (16, j1) and H.shape == (j1, j1)
         assert np.linalg.norm(V.conj().T @ V - np.eye(j1)) < 1e-12
+
+
+def test_krylov_dim_stops_at_a_multiple_of_m_below_the_cap():
+    pencil = _regular_p1(8192)
+    spec = eigs_near(pencil, REGULAR_LAMBDA, 3)
+    assert spec.krylov_dim % 3 == 0 and 0 < spec.krylov_dim < 40
+    assert np.max(spec.residuals) < 1e-12
+
+
+def test_nearest_cluster_on_the_tightest_gap_pencils(monkeypatch):
+    # a Krylov space stopped too early can hold a wrong, well-converged
+    # cluster that passes the residual certificate; only a dense solve
+    # tells it apart.  These reduced2d_tri P1 pencils have their (m+1)-th
+    # eigenvalue at most 1.4 times farther from the target than the m-th:
+    # the uniform level 1 and the first three adaptive meshes.
+    case = CASES["reduced2d_tri"]
+    mesh = initial_square_triangulation(INITIAL_SQUARE_DIVISIONS)
+    for _ in range(2):
+        mesh = nvb_refine(mesh, range(mesh.n_triangles))
+    pencils = [assemble_triangles(mesh, case.config.params, 1)]
+
+    def recording(pencil, *args):
+        pencils.append(pencil)
+        return eigs_near(pencil, *args)
+
+    monkeypatch.setattr(adaptive, "eigs_near", recording)
+    adaptive_loop(case, max_dofs=29)
+    assert [p.n for p in pencils] == [64, 16, 22, 29]
+    m = case.m_alg
+    for pencil in pencils:
+        dense = sla.eig(pencil.A.toarray(), pencil.B.toarray(), right=False)
+        ref = dense[np.argsort(np.abs(dense - case.target))[:m]]
+        spec = eigs_near(pencil, case.target, m)
+        got = spec.values[select_cluster(spec, case.target, m)]
+        assert (abs(mean_of_cluster(got) - mean_of_cluster(ref))
+                < 5e-14 * abs(case.target))
 
 
 def test_shifted_factorization_roundtrip():
