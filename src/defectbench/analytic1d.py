@@ -5,8 +5,9 @@ a Dirichlet condition at x=0 and the Robin condition a_R u'(1) + c u(1) = 0.
 Eigenvalues are the roots of the determinant of a 2x2 transmission matrix;
 the order of the zero equals the ascent of the eigenvalue, and the
 generalized eigenfunctions are lambda-derivatives of the eigenfunction
-family.  All contour integrals use the trapezoid rule on circles, certified
-by node doubling.
+family, evaluated exactly in x by a series in the shift of the square
+roots: only their x-free coefficients come from a contour.  All contour
+integrals use the trapezoid rule on circles, certified by node doubling.
 """
 
 from __future__ import annotations
@@ -124,27 +125,14 @@ def _vR_coeffs(params: ModelParams, lam):
     return c1, c2
 
 
-def _left_solution(params: ModelParams, lam, x):
-    """v^L = sin(mu_L x) and its x-derivative."""
-    muL, _ = _mu(params, lam)
-    x = np.asarray(x, dtype=float)
-    return np.sin(muL * x), muL * np.cos(muL * x)
-
-
-def _right_solution(params: ModelParams, lam, x):
-    """v^R and its x-derivative (coefficients from _vR_coeffs)."""
-    _, muR = _mu(params, lam)
+def fundamental_solutions(params: ModelParams, lam, x) -> FundamentalValues:
+    """Evaluate v^L = sin(mu_L x), v^R and their x-derivatives at x."""
+    muL, muR = _mu(params, lam)
     c1, c2 = _vR_coeffs(params, lam)
     x = np.asarray(x, dtype=float)
     s, c = np.sin(muR * x), np.cos(muR * x)
-    return c1 * s + c2 * c, muR * (c1 * c - c2 * s)
-
-
-def fundamental_solutions(params: ModelParams, lam, x) -> FundamentalValues:
-    """Evaluate v^L, v^R and their derivatives at x (scalar or array)."""
-    vL, dvL = _left_solution(params, lam, x)
-    vR, dvR = _right_solution(params, lam, x)
-    return FundamentalValues(vL=vL, dvL=dvL, vR=vR, dvR=dvR)
+    return FundamentalValues(vL=np.sin(muL * x), dvL=muL * np.cos(muL * x),
+                             vR=c1 * s + c2 * c, dvR=muR * (c1 * c - c2 * s))
 
 
 def transmission_matrix(params: ModelParams, lam: complex) -> np.ndarray:
@@ -271,45 +259,60 @@ def roots_in_disc(params: ModelParams, center: complex,
     return np.sort_complex(lam)
 
 
+def _shifted_series(mu0, x, order):
+    """Rows n < order of x^n/n! sin(mu0 x + n pi/2) and of the same with cos.
+
+    Weighted by delta^n and summed over n they give sin((mu0 + delta) x) and
+    cos((mu0 + delta) x), from one sin and one cos of mu0 x per point.
+    """
+    s, c = np.sin(mu0 * x), np.cos(mu0 * x)
+    quarter = (s, c, -s, -c)  # sin(mu0 x + n pi/2) for n mod 4
+    shifted = np.array([quarter[n % 4] for n in range(order + 1)])
+    powers = np.array([x**n / math.factorial(n) for n in range(order)])
+    return powers * shifted[:-1], powers * shifted[1:]
+
+
 @dataclass
 class Jet:
     """Generalized-eigenfunction jet w_l = d^{l-1} u / d lambda^{l-1}.
 
-    value_matrix evaluates (w_l, w_l') for l = 1..order at points of [0,1];
-    the underlying family u(lambda, x) uses the smooth null-vector
-    parametrization of the transmission matrix and the derivatives come
-    from Cauchy-integral differentiation on a circle around lambda0.
+    value_matrix evaluates (w_l, w_l') for l = 1..order at points of [0,1].
+    The family u(lambda, x) uses the smooth null-vector parametrization
+    (A1, A2) of the transmission matrix: u = A1 sin(mu_L x) for x <= b and
+    u = A2 (c1 sin(mu_R x) + c2 cos(mu_R x)) beyond.  With delta = mu(lambda)
+    - mu(lambda0) on each side, sin(mu x) is the series over n of
+    (delta x)^n / n! sin(mu0 x + n pi/2), and cos alike.  As delta =
+    O(lambda - lambda0), the terms n < order give every Taylor coefficient
+    the jet needs exactly; the coefficients of the x-free factors (A1 delta^n
+    and the like) come once from the certified contour, so an evaluation is
+    one sin and one cos of mu0 x per point and small matrix products.
+
+    At the default radius, rows beyond w_3 lose about three digits per order
+    (against a 40-digit reference, w_4..w_6 are off by up to 1e-7, 2e-4 and
+    1.4e-1 relative on the published sets), as did the earlier evaluation
+    at every contour node; a use of them needs a larger radius.
     """
 
     params: ModelParams
     lam0: complex
     order: int
-    _contour_z: np.ndarray
-    _weights: np.ndarray  # (order, nodes) Cauchy differentiation weights
-    _A1: np.ndarray
-    _A2: np.ndarray
-
-    def _family_values(self, x):
-        """u(lambda_k, x) and du/dx for all contour nodes; shape (k, nx).
-
-        v^L is evaluated only at x <= b and v^R only at x > b.
-        """
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        lam = (self.lam0 + self._contour_z)[:, None]
-        left = x <= self.params.b
-        val = np.empty((len(lam), len(x)), dtype=complex)
-        der = np.empty_like(val)
-        vL, dvL = _left_solution(self.params, lam, x[left])
-        vR, dvR = _right_solution(self.params, lam, x[~left])
-        a1, a2 = self._A1[:, None], self._A2[:, None]
-        val[:, left], der[:, left] = a1 * vL, a1 * dvL
-        val[:, ~left], der[:, ~left] = a2 * vR, a2 * dvR
-        return val, der
+    # [k, l-1, n] = (l-1)! times Taylor coefficient l-1 of F_k delta^n, for
+    # F = (A1, A1 mu_L, A2 c1, A2 c2, A2 mu_R c1, A2 mu_R c2)
+    _coeffs: np.ndarray
 
     def value_matrix(self, x):
         """(order, nx) arrays of w_l values and derivatives at points x."""
-        val, der = self._family_values(x)
-        return self._weights @ val, self._weights @ der
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        left = x <= self.params.b
+        muL, muR = _mu(self.params, self.lam0)
+        a1, da1, c1, c2, dc1, dc2 = self._coeffs
+        val = np.empty((self.order, len(x)), dtype=complex)
+        der = np.empty_like(val)
+        s, c = _shifted_series(muL, x[left], self.order)
+        val[:, left], der[:, left] = a1 @ s, da1 @ c
+        s, c = _shifted_series(muR, x[~left], self.order)
+        val[:, ~left], der[:, ~left] = c1 @ s + c2 @ c, dc1 @ c - dc2 @ s
+        return val, der
 
 
 def eigenfunction_jet(params: ModelParams, lambda0: complex, order: int) -> Jet:
@@ -324,34 +327,25 @@ def eigenfunction_jet(params: ModelParams, lambda0: complex, order: int) -> Jet:
         raise DegenerateParametrizationError("transmission matrix is zero")
     # smooth null-vector family: (A1, A2) = (M12, -M11), fallback (M22, -M21)
     use_first = max(abs(M0[0, 1]), abs(M0[0, 0])) > 1e-12 * norm
+    muL0, muR0 = _mu(params, lambda0)
+    n = np.arange(order)[:, None]
 
-    def null_vector(lam):
+    def series_factors(lam):
         f = fundamental_solutions(params, lam, params.b)
         if use_first:
-            return np.array([-f.vR, -f.vL])
-        return np.array([-params.a_R * f.dvR, -f.dvL])
+            A1, A2 = -f.vR, -f.vL
+        else:
+            A1, A2 = -params.a_R * f.dvR, -f.dvL
+        muL, muR = _mu(params, lam)
+        c1, c2 = _vR_coeffs(params, lam)
+        left = A1 * (muL - muL0) ** n
+        right = A2 * (muR - muR0) ** n
+        return np.concatenate([left, muL * left, c1 * right, c2 * right,
+                               muR * c1 * right, muR * c2 * right])
 
-    # the lambda-Taylor coefficients of the null-vector functions must be
-    # node-stable, as those of det M are
-    _, z, (A1, A2) = _certified_taylor(null_vector, lambda0, order - 1, rho)
-    if max(np.max(np.abs(A1)), np.max(np.abs(A2))) == 0.0:
-        raise DegenerateParametrizationError("both null-vector candidates vanish")
-
-    # w_l = (l-1)! * (Taylor coefficient l-1 of u(lambda, x)); the trapezoid
-    # rule turns that into a fixed weight vector over the contour nodes.
-    n = len(z)
-    theta = 2.0 * np.pi * np.arange(n) / n
-    ells = np.arange(order)
-    fact = np.array([float(math.factorial(k)) for k in ells])
-    weights = (
-        fact[:, None] * np.exp(-1j * np.outer(ells, theta)) / n / rho ** ells[:, None]
-    )
-    return Jet(
-        params=params,
-        lam0=lambda0,
-        order=order,
-        _contour_z=z,
-        _weights=weights,
-        _A1=A1,
-        _A2=A2,
-    )
+    # w_l = (l-1)! * (Taylor coefficient l-1 of u(lambda, x)); a factor with
+    # delta^n has no Taylor coefficient below n
+    gamma, _, _ = _certified_taylor(series_factors, lambda0, order - 1, rho)
+    fact = np.array([float(math.factorial(k)) for k in range(order)])
+    coeffs = fact[:, None] * gamma.reshape(6, order, order).transpose(0, 2, 1)
+    return Jet(params=params, lam0=lambda0, order=order, _coeffs=np.tril(coeffs))

@@ -194,21 +194,53 @@ def _reference_jet_nodes(params, lambda0, order):
     return z, weights, A1, A2
 
 
+def _contour_jet(params, lambda0, order, x):
+    """w_l and w_l' of the earlier jet: u(lambda_k, x) at every contour node,
+    contracted with the Cauchy differentiation weights."""
+    z, weights, A1, A2 = _reference_jet_nodes(params, lambda0, order)
+    f = fundamental_solutions(params, (lambda0 + z)[:, None], x)
+    left = x <= params.b
+    val = np.where(left, A1[:, None] * f.vL, A2[:, None] * f.vR)
+    der = np.where(left, A1[:, None] * f.dvL, A2[:, None] * f.dvR)
+    return weights @ val, weights @ der
+
+
+def _row_error(got, want):
+    return np.max(np.abs(got - want), axis=1) / np.max(np.abs(want), axis=1)
+
+
 @pytest.mark.parametrize("config", [REGULAR_CONFIG, REDUCED_CONFIG],
                          ids=["half", "third"])
-def test_jet_matches_earlier_certification_loop(config):
+def test_series_jet_matches_contour_node_evaluation(config):
+    b = config.params.b
+    x = np.concatenate([np.linspace(0.0, b, 2001), np.linspace(b, 1.0, 2001)[1:]])
     jet = eigenfunction_jet(config.params, config.lam, config.ascent)
-    z, weights, A1, A2 = _reference_jet_nodes(config.params, config.lam,
-                                              config.ascent)
-    assert np.array_equal(jet._contour_z, z)
-    assert np.array_equal(jet._weights, weights)
-    assert np.array_equal(jet._A1, A1) and np.array_equal(jet._A2, A2)
-    x = np.linspace(0.0, 1.0, 257)
-    reference = type(jet)(params=config.params, lam0=config.lam,
-                          order=config.ascent, _contour_z=z, _weights=weights,
-                          _A1=A1, _A2=A2)
-    for got, want in zip(jet.value_matrix(x), reference.value_matrix(x)):
-        assert got.tobytes() == want.tobytes()
+    reference = _contour_jet(config.params, config.lam, config.ascent, x)
+    for got, want in zip(jet.value_matrix(x), reference):
+        assert np.all(_row_error(got, want) <= 1e-9)
+
+
+@pytest.mark.parametrize("config", [REGULAR_CONFIG, REDUCED_CONFIG],
+                         ids=["half", "third"])
+def test_jet_satisfies_the_interface_and_boundary_conditions(config):
+    p = config.params
+    grid = np.linspace(0.0, 1.0, 1001)
+    jet = eigenfunction_jet(p, config.lam, config.ascent)
+    vals, ders = jet.value_matrix(grid)
+    vscale = np.max(np.abs(vals), axis=1)
+    fscale = np.max(np.abs(p.a(grid) * ders), axis=1)
+    ends = np.array([0.0, p.b, np.nextafter(p.b, 1.0), 1.0])
+    v, d = jet.value_matrix(ends)
+    assert np.all(np.abs(v[:, 0]) <= 1e-9 * vscale)  # Dirichlet at 0
+    assert np.all(np.abs(v[:, 1] - v[:, 2]) <= 1e-9 * vscale)
+    assert np.all(np.abs(d[:, 1] - p.a_R * d[:, 2]) <= 1e-9 * fscale)
+    robin = p.a_R * d[:, 3] + p.c * v[:, 3]
+    assert np.all(np.abs(robin) <= 1e-9 * np.maximum(vscale, fscale))
+    # a lower-order jet is the leading rows of this one
+    for order in (1, 2):
+        low = eigenfunction_jet(p, config.lam, order).value_matrix(grid)
+        assert np.all(_row_error(low[0], vals[:order]) <= 1e-9)
+        assert np.all(_row_error(low[1], ders[:order]) <= 1e-9)
 
 
 def test_roots_in_disc_closed_form():

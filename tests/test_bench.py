@@ -321,17 +321,27 @@ def test_sensitivity_separation_grows_with_delta():
 
 def test_eigenfunction_study_evaluates_jet_once_per_level(monkeypatch):
     calls = []
-    family_values = Jet._family_values
+    value_matrix = Jet.value_matrix
 
     def counted(self, x):
         calls.append(len(x))
-        return family_values(self, x)
+        return value_matrix(self, x)
 
-    monkeypatch.setattr(Jet, "_family_values", counted)
+    monkeypatch.setattr(Jet, "value_matrix", counted)
     table = eigenfunction_convergence(CASES["regular1d"], 1, 3)
     assert len(calls) == 3
     assert not any(r.failed for r in table.rows)
     assert all(r.errors[1] <= r.errors[0] for r in table.rows)
+
+
+def test_eigenfunction_study_across_the_cut_element_of_reduced1d():
+    # b = 1/3 is no mesh node, so one element is split for quadrature and
+    # its two parts evaluate the jet on different sides of the jump
+    table = eigenfunction_convergence(CASES["reduced1d"], 1, 6)
+    assert len(table.rows) == 6 and not any(r.failed for r in table.rows)
+    assert all(r.errors[1] <= r.errors[0] for r in table.rows)
+    span = [r.errors[1] for r in table.rows]
+    assert all(fine < coarse for coarse, fine in zip(span, span[1:]))
 
 
 def test_adaptive_loop_assembles_only_meshes_within_budget(monkeypatch):
