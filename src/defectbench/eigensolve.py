@@ -47,26 +47,90 @@ class ShiftedFactorization:
     sigma: complex
     lu: object
     n: int
+    perm: np.ndarray | None = None  # unknown factorized at each position
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self.lu.solve(np.asarray(rhs, dtype=complex))
+        rhs = np.asarray(rhs, dtype=complex)
+        if self.perm is None:
+            return self.lu.solve(rhs)
+        x = np.empty_like(rhs)
+        x[self.perm] = self.lu.solve(rhs[self.perm])  # a vector or n x m
+        return x
+
+
+def _highest_bit(x: np.ndarray) -> np.ndarray:
+    """floor(log2 x) of uint64 integers by exact shifts (-1 where x = 0);
+    a float log2 would round 2^k - 1 up to 2^k for k > 53."""
+    x = x.astype(np.uint64)
+    out = np.where(x > 0, 0, -1)
+    for s in (32, 16, 8, 4, 2, 1):
+        high = x >> np.uint64(s)
+        hit = high > 0
+        out[hit] += s
+        x[hit] = high[hit]
+    return out
+
+
+def _morton(points: np.ndarray) -> np.ndarray:
+    """Morton code of each point's dyadic box in the unit square or cube,
+    63 // dim bits per axis (uint64); the top bit cuts the first axis."""
+    dim = points.shape[1]
+    bits = 63 // dim
+    box = np.minimum(np.clip(points, 0.0, 1.0) * 2.0**bits,
+                     2.0**bits - 1).astype(np.uint64)
+    code = np.zeros(len(points), dtype=np.uint64)
+    for b in range(bits - 1, -1, -1):
+        for d in range(dim):
+            code = (code << np.uint64(1)) | ((box[:, d] >> np.uint64(b))
+                                              & np.uint64(1))
+    return code
+
+
+def _nested_dissection(M, points: np.ndarray) -> np.ndarray:
+    """Geometric nested-dissection order of M's unknowns (George 1973).
+
+    Cut c of a dyadic box halves it at Morton bit c.  An unknown becomes a
+    separator of the first (highest) cut crossed by an entry of M that
+    joins it to a neighbour on the upper side; once the separators are
+    removed no entry crosses a cut.  Post-order: each box's lower half,
+    upper half, then its separator, whose sort key is its code with bits
+    c..0 set (the last code of the box), ties going to the deeper cut.
+    """
+    code = _morton(points)
+    C = M.tocoo()
+    up = code[C.col] > code[C.row]
+    row = C.row[up]
+    cut = np.full(len(code), -1)
+    np.maximum.at(cut, row, _highest_bit(code[row] ^ code[C.col[up]]))
+    sep = cut >= 0
+    key = code.copy()
+    key[sep] |= (np.uint64(2) << cut[sep].astype(np.uint64)) - np.uint64(1)
+    return np.lexsort((cut, key))
 
 
 def factorize_shifted(pencil: Pencil, sigma: complex) -> ShiftedFactorization:
-    """Sparse LU of A - sigma B under SuperLU's COLAMD column ordering.
+    """Sparse LU of A - sigma B.
 
+    A pencil that carries its unknowns' points is factorized in their
+    geometric nested-dissection order under SuperLU's natural column
+    order.  One without points (an interval pencil, already banded as
+    assembled) is factorized as assembled, under SuperLU's COLAMD.
     A shift on (or next to) an eigenvalue may factorize with a tiny pivot;
     that is not rejected here, since the residual certificate of eigs_near
     is the guard.  Only SuperLU's exact singularity raises.
     """
-    M = (pencil.A - sigma * pencil.B).tocsc()
+    M = pencil.A - sigma * pencil.B
+    perm, spec = None, "COLAMD"
+    if pencil.points is not None:
+        perm, spec = _nested_dissection(M, pencil.points), "NATURAL"
+        M = M[perm][:, perm]
     try:
-        lu = spla.splu(M)
+        lu = spla.splu(M.tocsc(), permc_spec=spec)
     except RuntimeError as exc:
         if "singular" in str(exc).lower():
             raise SingularShiftError(f"A - sigma B is singular at sigma={sigma}")
         raise
-    return ShiftedFactorization(sigma=sigma, lu=lu, n=M.shape[0])
+    return ShiftedFactorization(sigma=sigma, lu=lu, n=M.shape[0], perm=perm)
 
 
 @dataclass
@@ -97,7 +161,8 @@ def _arnoldi(op, v0: np.ndarray, k: int, m: int):
     At j = 2m, 3m, ... below k, the iteration stops once the Schur basis Z
     of the m Ritz values of largest |theta| spans an invariant block:
     |h_{j+1,j}| ||e_j^T Z|| <= INVARIANCE_TOL |theta_m| (the Krylov-Schur
-    locking test).  Returns the basis as columns.
+    locking test).  Returns the basis V as columns, H and the residual f
+    of the Arnoldi relation op(V) = V H + f e_j^T.
     """
     V = np.empty((k + 1, len(v0)), dtype=complex)
     H = np.zeros((k + 1, k), dtype=complex)
@@ -111,7 +176,7 @@ def _arnoldi(op, v0: np.ndarray, k: int, m: int):
         beta = np.linalg.norm(w)
         H[j + 1, j] = beta
         if beta < 1e-14 * max(1.0, np.abs(H).max()):
-            return V[: j + 1].T, H[: j + 1, : j + 1]
+            return V[: j + 1].T, H[: j + 1, : j + 1], w
         V[j + 1] = w / beta
         if (j + 1) % m == 0 and 2 * m <= j + 1 < k:
             Hj = H[: j + 1, : j + 1]
@@ -121,21 +186,23 @@ def _arnoldi(op, v0: np.ndarray, k: int, m: int):
                                    sort=lambda x: abs(x) > cut)
             if sdim == m and (beta * np.linalg.norm(Z[j, :m])
                               <= INVARIANCE_TOL * size[m - 1]):
-                return V[: j + 1].T, Hj
-    return V[:k].T, H[:k, :k]
+                return V[: j + 1].T, Hj, w
+    return V[:k].T, H[:k, :k], w
 
 
-def _refine_block(op, vecs: np.ndarray, sigma: complex):
-    """Three inverse subspace iterations on the cluster, then a projection.
+def _refine_block(op, V, H, f, Y, sigma: complex):
+    """Three inverse subspace iterations on the cluster V Y, then a
+    projection.
 
     Individual Ritz pairs of a (near-)defective cluster do not share a
     single backward perturbation — their vectors are nearly parallel — so
     the cluster mean computed from them loses its first-order stability.
     Refining the orthonormalized cluster subspace and re-extracting the
-    values from the small projected operator restores it.
+    values from the small projected operator restores it.  The first
+    iteration needs no solve: op(V Y) = V (H Y) + f (e_j^T Y).
     """
-    Z = np.linalg.qr(vecs)[0]
-    for _ in range(3):
+    Z = np.linalg.qr(V @ (H @ Y) + np.outer(f, Y[-1]))[0]
+    for _ in range(2):
         Z = np.linalg.qr(op(Z))[0]
     S = Z.conj().T @ op(Z)
     theta, Y = np.linalg.eig(S)
@@ -172,7 +239,7 @@ def eigs_near(pencil: Pencil, sigma: complex, m: int) -> Spectrum:
 
         k = min(n, max(2 * m + 20, 40))
         for attempt in range(2):
-            V, H = _arnoldi(op, v0, k, m)
+            V, H, f = _arnoldi(op, v0, k, m)
             theta, S = np.linalg.eig(H)
             nonzero = np.abs(theta) > 1e-14 * np.max(np.abs(theta))
             lam = np.full_like(theta, np.inf)
@@ -180,7 +247,7 @@ def eigs_near(pencil: Pencil, sigma: complex, m: int) -> Spectrum:
             order = np.argsort(np.abs(lam - sigma), kind="stable")[:m]
             vecs = V @ S[:, order]
             vals = lam[order]
-            refined = _refine_block(op, vecs, sigma)
+            refined = _refine_block(op, V, H, f, S[:, order], sigma)
             if refined is not None:
                 vals, vecs = refined
                 reorder = np.argsort(np.abs(vals - sigma), kind="stable")

@@ -35,5 +35,8 @@ def assemble_tensor(p1d: Pencil, dim: int) -> Pencil:
         B2 = sp.kron(sp.kron(B, B), B)
     meta = dict(p1d.meta)
     meta.update(kind="tensor", dim=dim, base=p1d)
+    # unknown (i, j[, k]) sits at index (i n + j) n + k, as sp.kron numbers it
+    x = p1d.meta["node_x"][p1d.free]
+    grid = np.meshgrid(*[x] * dim, indexing="ij")
     return Pencil(A=A2.tocsr(), B=B2.tocsr(), free=np.arange(A2.shape[0]),
-                  meta=meta)
+                  meta=meta, points=np.column_stack([g.ravel() for g in grid]))

@@ -239,7 +239,7 @@ def assemble_triangles(mesh: TriMesh, params: ModelParams, p: int) -> Pencil:
         "coords": coords,
         "h": float(np.max(edge_len)),  # max triangle diameter
     }
-    return Pencil(A=A, B=B, free=free, meta=meta)
+    return Pencil(A=A, B=B, free=free, meta=meta, points=coords[free])
 
 
 @dataclass

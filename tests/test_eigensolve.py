@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from defectbench.analytic1d import ModelParams
 from defectbench.bench import adaptive
@@ -12,12 +13,16 @@ from defectbench.bench.cases import CASES
 from defectbench.bench.convergence import INITIAL_SQUARE_DIVISIONS
 from defectbench.eigensolve import (
     _arnoldi,
+    _highest_bit,
+    _morton,
+    _nested_dissection,
     eigs_near,
     factorize_shifted,
     mean_of_cluster,
     select_cluster,
 )
-from defectbench.fem import Pencil, assemble_interval
+from defectbench.bench.convergence import build_pencil_1d
+from defectbench.fem import Pencil, assemble_interval, assemble_tensor
 from defectbench.fem.triangles import assemble_triangles
 from defectbench.meshing import (
     initial_square_triangulation,
@@ -108,19 +113,25 @@ def _shift_invert(pencil, sigma):
     return lambda v: fact.solve(pencil.B @ v)
 
 
+def _assert_arnoldi_relation(op, V, H, f):
+    """op(V) = V H + f e_j^T, to 1e-12 relative."""
+    lhs = np.column_stack([op(V[:, i]) for i in range(V.shape[1])])
+    rhs = V @ H
+    rhs[:, -1] += f
+    assert np.linalg.norm(lhs - rhs) < 1e-12 * np.linalg.norm(lhs)
+
+
 def test_arnoldi_basis_orthonormal_and_relation_holds():
     op = _shift_invert(_regular_p1(256), REGULAR_LAMBDA)
     v0 = np.ones(256, dtype=complex)
-    V, H = _arnoldi(op, v0, 40, 3)
+    V, H, f = _arnoldi(op, v0, 40, 3)
     # the cluster's Schur block is invariant well before the cap, and the
     # test runs only at multiples of m = 3
     j = V.shape[1]
     assert j < 40 and j % 3 == 0
-    assert V.shape == (256, j) and H.shape == (j, j)
+    assert V.shape == (256, j) and H.shape == (j, j) and f.shape == (256,)
     assert np.linalg.norm(V.conj().T @ V - np.eye(j)) < 1e-12
-    # op(V_{j-1}) = V_j H_{j,j-1}: the last returned column has no successor
-    lhs = np.column_stack([op(V[:, i]) for i in range(j - 1)])
-    assert np.linalg.norm(lhs - V @ H[:, : j - 1]) < 1e-12 * np.linalg.norm(lhs)
+    _assert_arnoldi_relation(op, V, H, f)
     # the cluster Ritz values match the full 40-step column MGS reference
     # to the eps^(1/3) ~ 6e-6 sensitivity of an ascent-3 cluster
     def cluster(H):
@@ -141,12 +152,13 @@ def test_arnoldi_early_exit_on_exact_eigenvalue_shift():
     for sigma in cluster:
         op = _shift_invert(pencil, sigma)
         v0 = np.ones(16, dtype=complex)
-        V, H = _arnoldi(op, v0, 16, 3)
+        V, H, f = _arnoldi(op, v0, 16, 3)
         V_ref, _ = _arnoldi_mgs(op, v0, 16)
         j1 = V_ref.shape[1]
         assert j1 < 16
         assert V.shape == (16, j1) and H.shape == (j1, j1)
         assert np.linalg.norm(V.conj().T @ V - np.eye(j1)) < 1e-12
+        _assert_arnoldi_relation(op, V, H, f)
 
 
 def test_krylov_dim_stops_at_a_multiple_of_m_below_the_cap():
@@ -252,3 +264,142 @@ def test_select_cluster_orders_by_distance():
 
     idx = select_cluster(FakeSpec, 2.6, 2)
     assert set(FakeSpec.values[idx]) == {2.5, 3.0}
+
+
+# --- nested-dissection ordering of pencils that carry points ---------------
+
+
+def _tri_pencil(case_id, sweeps, p=1, graded=False):
+    """A uniform triangle pencil after `sweeps` bisection sweeps, or with
+    graded=True one refined toward the corner (1/3, 1/3) on each sweep."""
+    case = CASES[case_id]
+    mesh = initial_square_triangulation(INITIAL_SQUARE_DIVISIONS)
+    for _ in range(sweeps):
+        marked = range(mesh.n_triangles)
+        if graded:
+            centroid = mesh.vertices[mesh.triangles].mean(axis=1)
+            marked = np.flatnonzero(
+                np.max(np.abs(centroid - 1 / 3), axis=1) < 0.2)
+        mesh = nvb_refine(mesh, marked)
+    return assemble_triangles(mesh, case.config.params, p), case.target
+
+
+def _tensor_pencil(dim, n_el):
+    case = CASES["regular2d_tensor" if dim == 2 else "regular3d_tensor"]
+    return (assemble_tensor(build_pencil_1d(case, 1, n_el), dim),
+            case.target)
+
+
+POINTED = {
+    "tri_p1": lambda: _tri_pencil("regular2d_tri", 4),
+    "tri_p2": lambda: _tri_pencil("reduced2d_tri", 2, p=2),
+    "adaptive_p1": lambda: _tri_pencil("reduced2d_tri", 6, graded=True),
+    "tensor2d": lambda: _tensor_pencil(2, 16),
+    "tensor3d": lambda: _tensor_pencil(3, 8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POINTED))
+def test_nested_dissection_separates_the_top_cut(name):
+    pencil, sigma = POINTED[name]()
+    M = (pencil.A - sigma * pencil.B).tocoo()
+    # the points follow the matrix numbering: every entry joins two
+    # unknowns at most one mesh size apart in each coordinate
+    gap = np.abs(pencil.points[M.row] - pencil.points[M.col]).max()
+    assert gap <= pencil.meta["h"] * (1 + 1e-12)
+
+    perm = _nested_dissection(M, pencil.points)
+    assert np.array_equal(np.sort(perm), np.arange(pencil.n))
+    # post-order: the lower half of the top cut, the upper half, then the
+    # top separator, which lies in the lower half
+    code = _morton(pencil.points)
+    top = np.uint64(1) << np.uint64(63 // pencil.points.shape[1]
+                                    * pencil.points.shape[1] - 1)
+    upper = (code & top) > 0
+    pos = np.empty(pencil.n, dtype=int)
+    pos[perm] = np.arange(pencil.n)
+    last_upper = pos[upper].max()
+    separator = pos > last_upper
+    assert upper.any() and (~upper).any() and separator.any()
+    assert not upper[separator].any()
+    assert pos[~upper & ~separator].max() < pos[upper].min()
+    # once the separator is removed no entry joins the two halves, and
+    # every separator unknown has a neighbour in the upper half
+    kept = ~separator
+    crossing = upper[M.row] != upper[M.col]
+    assert not np.any(crossing & kept[M.row] & kept[M.col])
+    touches = np.zeros(pencil.n, dtype=bool)
+    touches[M.row[crossing]] = True
+    assert np.array_equal(separator, touches & ~upper)
+
+
+def test_highest_bit_is_exact_for_3d_codes_across_2_53():
+    edges = [2**e + d for e in (52, 53, 54, 61, 62) for d in (-1, 0, 1)]
+    rng = np.random.default_rng(3)
+    codes = np.concatenate([
+        np.array([0, 1, 2, 3, 2**63 - 1] + edges, dtype=np.uint64),
+        rng.integers(0, 2**63, size=1000, dtype=np.uint64),
+    ])
+    expected = [int(c).bit_length() - 1 for c in codes]
+    assert _highest_bit(codes).tolist() == expected
+    # a float log2 would round 2^62 - 1 up to 2^62 ...
+    assert int(np.log2(np.float64(2**62 - 1))) == 62
+    # ... and the 3D Morton codes of two points across x = 1/2 differ at
+    # bit 62 and are compared there exactly
+    code = _morton(np.array([[0.5 - 2.0**-21, 0.7, 0.7],
+                             [0.5, 0.7, 0.7]]))
+    assert _highest_bit(code[:1] ^ code[1:]).tolist() == [62]
+
+
+def test_morton_code_interleaves_box_bits_first_axis_first():
+    rng = np.random.default_rng(4)
+    for dim in (2, 3):
+        bits = 63 // dim
+        points = np.vstack([rng.random((20, dim)), np.ones((1, dim)),
+                            np.zeros((1, dim))])
+        expected = []
+        for point in points:
+            box = [min(int(x * 2**bits), 2**bits - 1) for x in point]
+            code = 0
+            for b in range(bits - 1, -1, -1):
+                for x in box:
+                    code = 2 * code + (x >> b & 1)
+            expected.append(code)
+        assert [int(c) for c in _morton(points)] == expected
+
+
+def test_shifted_solve_undoes_the_ordering_for_vectors_and_blocks():
+    pencil, sigma = _tri_pencil("regular2d_tri", 2, p=2)
+    sigma = sigma + 0.5  # off the spectrum
+    fact = factorize_shifted(pencil, sigma)
+    assert fact.perm is not None
+    M = pencil.A - sigma * pencil.B
+    rng = np.random.default_rng(5)
+    for shape in [(pencil.n,), (pencil.n, 4)]:
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        y = fact.solve(x)
+        assert y.shape == shape
+        assert np.linalg.norm(M @ y - x) < 1e-10 * np.linalg.norm(x)
+
+
+def test_interval_pencils_carry_no_points_and_keep_colamd():
+    pencil = _regular_p1(256)
+    assert pencil.points is None
+    fact = factorize_shifted(pencil, REGULAR_LAMBDA)
+    ref = spla.splu((pencil.A - REGULAR_LAMBDA * pencil.B).tocsc())
+    assert fact.perm is None and fact.lu.nnz == ref.nnz
+    assert np.array_equal(fact.lu.perm_c, ref.perm_c)
+
+
+@pytest.mark.parametrize("case_id", ["regular2d_tri", "regular2d_tensor"])
+def test_ordering_stores_fewer_lu_entries_than_colamd(case_id):
+    # N = 16,384, the finest level of the uniform2d benchmark; both counts
+    # are deterministic
+    if case_id == "regular2d_tri":
+        pencil, sigma = _tri_pencil(case_id, 10)
+    else:
+        pencil, sigma = _tensor_pencil(2, 128)
+    assert pencil.n == 16384
+    nd = factorize_shifted(pencil, sigma).lu.nnz
+    colamd = spla.splu((pencil.A - sigma * pencil.B).tocsc()).nnz
+    assert nd < colamd
