@@ -22,17 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..analytic1d import ModelParams
-from ..eigensolve import eigs_near, select_cluster
+from ..eigensolve import eigs_near  # noqa: F401  perfstudy/tracing.py looks it up here
 from ..fem.triangles import EstimatorMesh, assemble_triangles, free_dof_count
 from ..meshing import TriMesh, initial_square_triangulation, nvb_refine
 from .cases import BenchmarkCase
-from .convergence import (
-    INITIAL_SQUARE_DIVISIONS,
-    LEVEL_ERRORS,
-    ConvergenceTable,
-    cluster_row,
-    failed_row,
-)
+from .convergence import INITIAL_SQUARE_DIVISIONS, ConvergenceTable, solve_level
 
 __all__ = [
     "EstimatorField",
@@ -114,31 +108,28 @@ def adaptive_loop(case: BenchmarkCase, theta: float = 0.5,
     if case.family != "tri":
         raise ValueError("adaptive loop runs on triangular cases")
     params = case.config.params
-    target, m = case.target, case.m_alg
-    table = ConvergenceTable(case_id=case.id, p=p, target=target)
+    table = ConvergenceTable(case_id=case.id, p=p, target=case.target)
 
-    mesh = initial_mesh(max_dofs, p)
+    def estimate_and_mark(pencil, spectrum):
+        """Estimate on the current mesh and mark for the next one."""
+        nonlocal marked
+        pairs = []
+        for lam, u in zip(spectrum.values, spectrum.vectors.T):
+            full = np.zeros(len(pencil.meta["coords"]), dtype=complex)
+            full[pencil.free] = u
+            pairs.append((lam, full))
+        fld = residual_estimator(mesh, pairs, params, p)
+        marked = dorfler_mark(fld, theta)
+        return {"eta_total": np.sqrt(fld.total)}
+
+    mesh, marked = initial_mesh(max_dofs, p), []
     level = 0
     while free_dof_count(mesh, p) <= max_dofs:
         pencil = assemble_triangles(mesh, params, p)
-        try:
-            spectrum = eigs_near(pencil, target, m)
-        except LEVEL_ERRORS as exc:
-            table.rows.append(failed_row(level, exc))
-            break
-        idx = select_cluster(spectrum, target, m)
-        values = spectrum.values[idx]
-        ndof_full = len(pencil.meta["coords"])
-        pairs = []
-        for s, j in enumerate(idx):
-            full = np.zeros(ndof_full, dtype=complex)
-            full[pencil.free] = spectrum.vectors[:, j]
-            pairs.append((values[s], full))
-        fld = residual_estimator(mesh, pairs, params, p)
-        table.rows.append(cluster_row(level, pencil, target, values,
-                                      eta_total=np.sqrt(fld.total)))
-        marked = dorfler_mark(fld, theta)
-        if not marked:
+        row = solve_level(level, pencil, case.target, case.m_alg,
+                          estimate_and_mark)
+        table.rows.append(row)
+        if row.failed or not marked:
             break
         mesh = nvb_refine(mesh, marked)
         level += 1

@@ -6,10 +6,12 @@ m_alg eigenvalues nearest the analytic target, the per-eigenvalue errors
 error of the cluster mean, which converges at the full rate regardless of
 the defect.
 
-All four study drivers build their rows here: ``cluster_row`` for a solved
-level and ``failed_row`` for a level that raised one of ``LEVEL_ERRORS``,
-the solver's declared numerical failures.  Any other exception is a
-programming or usage error and propagates.
+All four study drivers solve their levels here: ``solve_level`` is the one
+shift-invert solve and row of a level, and a driver passes only a measure
+that overrides the row's default errors.  A level that raises one of
+``LEVEL_ERRORS``, the solver's declared numerical failures, becomes a
+failed row with its cause; any other exception is a programming or usage
+error and propagates.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from ..eigensolve import (
     SingularShiftError,
     eigs_near,
     mean_of_cluster,
-    select_cluster,
 )
 from ..fem import assemble_interval, assemble_tensor, assemble_triangles
 from ..fem.error_norms import SingularAlignmentError
@@ -34,8 +35,9 @@ __all__ = [
     "ConvergenceRow",
     "ConvergenceTable",
     "LEVEL_ERRORS",
-    "cluster_row",
-    "failed_row",
+    "solve_level",
+    "uniform_pencils",
+    "uniform_study",
     "run_convergence",
     "fit_rate",
     "build_pencil_1d",
@@ -153,23 +155,33 @@ def level_elements(case: BenchmarkCase, level: int) -> int:
     return n
 
 
-def build_pencil_1d(case: BenchmarkCase, p: int, n: int, params=None):
+def build_pencil_1d(case: BenchmarkCase, p: int, n: int):
     """Assemble the 1D pencil of a case on n uniform elements."""
-    params = case.config.params if params is None else params
+    params = case.config.params
     force = params.b if case.aligned else None
     mesh = uniform_interval_mesh(n, force_node=force)
     return assemble_interval(mesh, params, p)
 
 
-def cluster_row(level: int, pencil, target: complex, cluster,
-                **fields) -> ConvergenceRow:
-    """Row of a solved level from its pencil and its eigenvalue cluster.
+def solve_level(level: int, pencil, target: complex, m: int,
+                measure=None) -> ConvergenceRow:
+    """Row of one level: the m eigenvalues of pencil nearest target.
 
     N, h and the cluster mean are always derived here.  By default the row
-    holds the cluster in solver order, its errors against target sorted
-    descending, the mean's error and the solver floor; a driver overrides
-    any of these through fields.
+    holds the cluster in solver order (nearest first), its errors against
+    target sorted descending, the mean's error and the solver floor;
+    measure(pencil, spectrum) returns the fields that override these.  A
+    solve or a measure that raises one of LEVEL_ERRORS gives a failed row
+    with the cause.
     """
+    try:
+        spectrum = eigs_near(pencil, target, m)
+        fields = measure(pencil, spectrum) if measure else {}
+    except LEVEL_ERRORS as exc:
+        return ConvergenceRow(level, 0, 0.0, np.array([]), np.array([]), 0j,
+                              np.nan, failed=True,
+                              reason=f"{type(exc).__name__}: {exc}")
+    cluster = spectrum.values
     mean = mean_of_cluster(cluster)
     fields.setdefault("values", cluster)
     fields.setdefault("errors", np.sort(np.abs(target - cluster))[::-1])
@@ -180,32 +192,21 @@ def cluster_row(level: int, pencil, target: complex, cluster,
                           mean_value=mean, **fields)
 
 
-def failed_row(level: int, exc: BaseException) -> ConvergenceRow:
-    """Row of a level that ended in one of LEVEL_ERRORS, with the cause."""
-    return ConvergenceRow(level, 0, 0.0, np.array([]), np.array([]), 0j,
-                          np.nan, failed=True,
-                          reason=f"{type(exc).__name__}: {exc}")
-
-
 def check_levels(levels: int) -> None:
     """Reject a level count too small for a rate fit to mean anything."""
     if levels < MIN_LEVELS:
         raise ValueError(f"need levels >= {MIN_LEVELS}, got {levels}")
 
 
-def run_convergence(case: BenchmarkCase, p: int, levels: int) -> ConvergenceTable:
-    """Uniform refinement study against the analytic target d*lambda."""
-    check_levels(levels)
-    table = ConvergenceTable(case_id=case.id, p=p, target=case.target)
-    target, m = case.target, case.m_alg
-
+def uniform_pencils(case: BenchmarkCase, p: int, levels: int):
+    """The pencils of the case's uniform refinement levels, coarsest first."""
     if case.family == "tri":
         mesh = initial_square_triangulation(INITIAL_SQUARE_DIVISIONS)
     for level in range(levels):
         if case.family == "interval":
-            pencil = build_pencil_1d(case, p, level_elements(case, level))
+            yield build_pencil_1d(case, p, level_elements(case, level))
         elif case.family == "tensor":
-            pencil = assemble_tensor(
+            yield assemble_tensor(
                 build_pencil_1d(case, p, level_elements(case, level)),
                 case.dimension,
             )
@@ -217,13 +218,22 @@ def run_convergence(case: BenchmarkCase, p: int, levels: int) -> ConvergenceTabl
                 # between two mesh patterns)
                 for _ in range(2):
                     mesh = nvb_refine(mesh, range(mesh.n_triangles))
-            pencil = assemble_triangles(mesh, case.config.params, p)
-        try:
-            spectrum = eigs_near(pencil, target, m)
-        except LEVEL_ERRORS as exc:
-            table.rows.append(failed_row(level, exc))
-            continue
-        values = spectrum.values[select_cluster(spectrum, target, m)]
-        table.rows.append(cluster_row(level, pencil, target, values))
+            yield assemble_triangles(mesh, case.config.params, p)
+
+
+def uniform_study(case: BenchmarkCase, p: int, levels: int,
+                  measure=None) -> ConvergenceTable:
+    """Table of a uniform refinement study with its fitted rates; measure
+    is passed to solve_level at every level."""
+    check_levels(levels)
+    table = ConvergenceTable(case_id=case.id, p=p, target=case.target)
+    for level, pencil in enumerate(uniform_pencils(case, p, levels)):
+        table.rows.append(
+            solve_level(level, pencil, case.target, case.m_alg, measure))
     table.fit_all()
     return table
+
+
+def run_convergence(case: BenchmarkCase, p: int, levels: int) -> ConvergenceTable:
+    """Uniform refinement study against the analytic target d*lambda."""
+    return uniform_study(case, p, levels)

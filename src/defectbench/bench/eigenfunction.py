@@ -10,18 +10,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..analytic1d import eigenfunction_jet
-from ..eigensolve import eigs_near, select_cluster
+from ..eigensolve import eigs_near  # noqa: F401  perfstudy/tracing.py looks it up here
 from ..fem import Function1D, h1_error
 from .cases import BenchmarkCase
-from .convergence import (
-    LEVEL_ERRORS,
-    ConvergenceTable,
-    build_pencil_1d,
-    check_levels,
-    cluster_row,
-    failed_row,
-    level_elements,
-)
+from .convergence import ConvergenceTable, uniform_study
 
 __all__ = ["eigenfunction_convergence"]
 
@@ -38,25 +30,14 @@ def eigenfunction_convergence(case: BenchmarkCase, p: int,
     """
     if case.dimension != 1:
         raise ValueError("eigenfunction study is one-dimensional")
-    check_levels(levels)
     cfg = case.config
     jet = eigenfunction_jet(cfg.params, cfg.lam, cfg.ascent)
-    table = ConvergenceTable(case_id=case.id, p=p, target=cfg.lam)
-    for level in range(levels):
-        pencil = build_pencil_1d(case, p, level_elements(case, level))
-        try:
-            spectrum = eigs_near(pencil, case.target, case.m_alg)
-            idx = select_cluster(spectrum, case.target, case.m_alg)
-            best = idx[int(np.argmin(spectrum.residuals[idx]))]
-            u_h = Function1D(pencil, spectrum.vectors[:, best])
-            dist = h1_error(u_h, jet.value_matrix)
-        except LEVEL_ERRORS as exc:
-            table.rows.append(failed_row(level, exc))
-            continue
-        table.rows.append(cluster_row(
-            level, pencil, cfg.lam, spectrum.values[idx],
-            errors=np.array([dist[0], dist[-1]]), mean_error=dist[-1],
-            floor=0.0,
-        ))
-    table.fit_all()
-    return table
+
+    def jet_distances(pencil, spectrum):
+        best = int(np.argmin(spectrum.residuals))
+        dist = h1_error(Function1D(pencil, spectrum.vectors[:, best]),
+                        jet.value_matrix)
+        return {"errors": np.array([dist[0], dist[-1]]),
+                "mean_error": dist[-1], "floor": 0.0}
+
+    return uniform_study(case, p, levels, jet_distances)

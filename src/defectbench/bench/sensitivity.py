@@ -11,22 +11,15 @@ split dominates).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import permutations
 
 import numpy as np
 
-from ..analytic1d import ModelParams, roots_in_disc
-from ..eigensolve import eigs_near, select_cluster
+from ..analytic1d import roots_in_disc
+from ..eigensolve import eigs_near  # noqa: F401  perfstudy/tracing.py looks it up here
 from .cases import BenchmarkCase
-from .convergence import (
-    LEVEL_ERRORS,
-    ConvergenceTable,
-    build_pencil_1d,
-    check_levels,
-    cluster_row,
-    failed_row,
-    level_elements,
-)
+from .convergence import check_levels, uniform_study
 
 __all__ = [
     "SensitivityReport",
@@ -49,9 +42,12 @@ class RootCountError(RuntimeError):
     """The reference disc does not hold exactly m_alg roots of det M."""
 
 
-def _perturbed_params(case: BenchmarkCase, delta: float) -> ModelParams:
-    par = case.config.params
-    return replace(par, c=par.c + delta)
+def _perturbed(case: BenchmarkCase, delta: float) -> BenchmarkCase:
+    """The case with Robin constant c + delta, named <id>_delta<delta>."""
+    cfg = case.config
+    params = replace(cfg.params, c=cfg.params.c + delta)
+    return replace(case, id=f"{case.id}_delta{delta:g}",
+                   config=replace(cfg, params=params))
 
 
 def _pair_to(reference: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -97,11 +93,22 @@ def compute_reference_cluster(case: BenchmarkCase, delta: float) -> np.ndarray:
     if delta == 0:
         return np.full(m, lam)
     radius = REFERENCE_RADIUS * abs(lam)
-    roots = roots_in_disc(_perturbed_params(case, delta), lam, radius)
+    roots = roots_in_disc(_perturbed(case, delta).config.params, lam, radius)
     if len(roots) != m:
         raise RootCountError(f"delta {delta:g}: det M has {len(roots)} roots "
                              f"within {radius:.3g} of {lam}, not {m}")
     return roots
+
+
+def _paired_errors(refs: np.ndarray, _pencil, spectrum) -> dict:
+    """The cluster paired with the references, and its per-member errors."""
+    try:
+        paired = _pair_to(refs, spectrum.values)
+    except PairingAmbiguityError:
+        # coarse levels cannot distinguish a barely split cluster; sorted
+        # order (as refs) is error-equivalent there
+        paired = np.sort_complex(spectrum.values)
+    return {"values": paired, "errors": np.sort(np.abs(refs - paired))[::-1]}
 
 
 @dataclass
@@ -125,36 +132,12 @@ def sensitivity_study(case: BenchmarkCase, deltas, p: int,
         raise ValueError("deltas must be positive")
     check_levels(levels)
     report = SensitivityReport()
-    target, m = case.target, case.m_alg
     for delta in deltas:
         refs = compute_reference_cluster(case, delta)
         report.references[delta] = refs
         report.separations[delta] = float(
             np.max(np.abs(refs[:, None] - refs[None, :]))
         )
-        params = _perturbed_params(case, delta)
-        table = ConvergenceTable(
-            case_id=f"{case.id}_delta{delta:g}", p=p, target=target
-        )
-        for level in range(levels):
-            pencil = build_pencil_1d(case, p, level_elements(case, level),
-                                     params=params)
-            try:
-                spectrum = eigs_near(pencil, target, m)
-            except LEVEL_ERRORS as exc:
-                table.rows.append(failed_row(level, exc))
-                continue
-            values = spectrum.values[select_cluster(spectrum, target, m)]
-            try:
-                paired = _pair_to(refs, values)
-            except PairingAmbiguityError:
-                # coarse levels cannot distinguish a barely split cluster;
-                # sorted order (as refs) is error-equivalent there
-                paired = np.sort_complex(values)
-            table.rows.append(cluster_row(
-                level, pencil, target, values, values=paired,
-                errors=np.sort(np.abs(refs - paired))[::-1],
-            ))
-        table.fit_all()
-        report.tables[delta] = table
+        report.tables[delta] = uniform_study(
+            _perturbed(case, delta), p, levels, partial(_paired_errors, refs))
     return report

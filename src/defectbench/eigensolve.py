@@ -26,7 +26,6 @@ __all__ = [
     "factorize_shifted",
     "eigs_near",
     "mean_of_cluster",
-    "select_cluster",
 ]
 
 DEFAULT_TOL = 1e-9
@@ -136,7 +135,7 @@ def factorize_shifted(pencil: Pencil, sigma: complex) -> ShiftedFactorization:
 @dataclass
 class Spectrum:
     values: np.ndarray
-    vectors: np.ndarray | None
+    vectors: np.ndarray
     residuals: np.ndarray
     sigma: complex
     krylov_dim: int  # Arnoldi steps of the accepted attempt
@@ -281,12 +280,3 @@ def mean_of_cluster(values) -> complex:
     if np.any(values == 0):
         raise ValueError("cluster contains a zero eigenvalue")
     return complex(1.0 / np.mean(1.0 / values))
-
-
-def select_cluster(spectrum: Spectrum, target: complex, m: int):
-    """Indices of the m eigenvalues nearest target; ties to the lower index."""
-    vals = spectrum.values
-    if len(vals) < m:
-        raise ValueError(f"spectrum has {len(vals)} < m = {m} entries")
-    order = np.argsort(np.abs(vals - target), kind="stable")
-    return list(order[:m])

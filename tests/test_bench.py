@@ -33,7 +33,8 @@ from defectbench.bench.convergence import (
 from defectbench.bench.io import HEADER, RATES_HEADER, format_float
 from defectbench.bench import adaptive, convergence, eigenfunction, sensitivity
 from defectbench.bench.sensitivity import PairingAmbiguityError, _pair_to
-from defectbench.eigensolve import EigsNotConvergedError, eigs_near, select_cluster
+from defectbench.fem.error_norms import SingularAlignmentError
+from defectbench.eigensolve import EigsNotConvergedError, eigs_near
 from defectbench.fem import assemble_tensor, assemble_triangles
 from defectbench.meshing import initial_square_triangulation
 
@@ -116,9 +117,8 @@ def _tri_cluster(n0=4, p=1):
     params = case.config.params
     pencil = assemble_triangles(mesh, params, p)
     spec = eigs_near(pencil, case.target, case.m_alg)
-    idx = select_cluster(spec, case.target, case.m_alg)
     pairs = []
-    for j in idx:
+    for j in range(case.m_alg):
         full = np.zeros(pencil.meta["coords"].shape[0], dtype=complex)
         full[pencil.free] = spec.vectors[:, j]
         pairs.append((spec.values[j], full))
@@ -222,8 +222,7 @@ def test_tensor_cluster_matches_pairwise_sums():
     sums = (w1[:, None] + w1[None, :]).ravel()
     p2d = assemble_tensor(p1d, 2)
     spec = eigs_near(p2d, case.target, case.m_alg)
-    idx = select_cluster(spec, case.target, case.m_alg)
-    for lam in spec.values[idx]:
+    for lam in spec.values:
         assert np.min(np.abs(sums - lam)) < 1e-10 * abs(lam)
 
 
@@ -241,7 +240,7 @@ def test_reference_cluster_consistent_with_unperturbed_target():
 def test_reference_cluster_holds_distinct_roots_of_det(case_id, delta):
     case = CASES[case_id]
     refs = compute_reference_cluster(case, delta)
-    params = sensitivity._perturbed_params(case, delta)
+    params = sensitivity._perturbed(case, delta).config.params
     circle = case.target + 0.5 * abs(case.target) * np.exp(
         2j * np.pi * np.arange(64) / 64)
     scale = np.max(np.abs(det_transmission(params, circle)))
@@ -256,11 +255,10 @@ def test_reduced1d_reference_matches_aligned_p3_pencil(delta, tol):
     # distance is the pencil's own error (3.1e-8 and 9.9e-6 measured)
     case = CASES["reduced1d"]
     refs = compute_reference_cluster(case, delta)
-    pencil = build_pencil_1d(replace(case, aligned=True), 3, 384,
-                             params=sensitivity._perturbed_params(case, delta))
+    pencil = build_pencil_1d(
+        replace(sensitivity._perturbed(case, delta), aligned=True), 3, 384)
     spectrum = eigs_near(pencil, case.target, case.m_alg)
-    values = spectrum.values[select_cluster(spectrum, case.target, case.m_alg)]
-    assert np.max(np.abs(_pair_to(refs, values) - refs)) <= tol
+    assert np.max(np.abs(_pair_to(refs, spectrum.values) - refs)) <= tol
 
 
 def test_reference_disc_without_the_whole_cluster_raises():
@@ -383,40 +381,37 @@ def test_level_studies_reject_fewer_than_three_levels(study):
 
 # ------------------------------------------------------------ failed levels
 
-# (module whose eigs_near the driver calls, run of the driver on a small case)
+# every driver solves its levels through convergence.solve_level, the one
+# caller of eigs_near in the drivers
 DRIVERS = {
-    "convergence": (convergence,
-                    lambda: run_convergence(CASES["regular1d"], 1, 4)),
-    "sensitivity": (sensitivity,
-                    lambda: sensitivity_study(CASES["regular1d"], [1e-2], 1, 4)
-                    .tables[1e-2]),
-    "eigenfunction": (eigenfunction,
-                      lambda: eigenfunction_convergence(CASES["regular1d"], 1, 4)),
-    "adaptive": (adaptive,
-                 lambda: adaptive_loop(CASES["regular2d_tri"], max_dofs=400)),
+    "convergence": lambda: run_convergence(CASES["regular1d"], 1, 4),
+    "sensitivity": lambda: sensitivity_study(CASES["regular1d"], [1e-2], 1, 4)
+    .tables[1e-2],
+    "eigenfunction": lambda: eigenfunction_convergence(CASES["regular1d"], 1, 4),
+    "adaptive": lambda: adaptive_loop(CASES["regular2d_tri"], max_dofs=400),
 }
 
 
-def _failing_eigs_near(monkeypatch, module, exc, at_call=2):
-    """Make the driver's eigs_near raise exc on its at_call-th call."""
+def _failing(monkeypatch, module, name, exc, at_call=2):
+    """Make module's function name raise exc on its at_call-th call."""
     calls = []
+    real = getattr(module, name)
 
     def fake(*args, **kwargs):
         calls.append(None)
         if len(calls) == at_call:
             raise exc
-        return eigs_near(*args, **kwargs)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(module, "eigs_near", fake)
+    monkeypatch.setattr(module, name, fake)
 
 
 @pytest.mark.parametrize("driver", sorted(DRIVERS))
 def test_declared_solver_error_becomes_failed_row_with_reason(monkeypatch,
                                                               driver):
-    module, run = DRIVERS[driver]
-    _failing_eigs_near(monkeypatch, module,
-                       EigsNotConvergedError("residuals above 1.0e-09"))
-    table = run()
+    _failing(monkeypatch, convergence, "eigs_near",
+             EigsNotConvergedError("residuals above 1.0e-09"))
+    table = DRIVERS[driver]()
     failed = [r for r in table.rows if r.failed]
     assert [r.level for r in failed] == [1]
     assert failed[0].reason == "EigsNotConvergedError: residuals above 1.0e-09"
@@ -431,10 +426,29 @@ def test_declared_solver_error_becomes_failed_row_with_reason(monkeypatch,
 
 @pytest.mark.parametrize("driver", sorted(DRIVERS))
 def test_programming_error_propagates_out_of_driver(monkeypatch, driver):
-    module, run = DRIVERS[driver]
-    _failing_eigs_near(monkeypatch, module, TypeError("bad argument"))
+    _failing(monkeypatch, convergence, "eigs_near", TypeError("bad argument"))
     with pytest.raises(TypeError, match="bad argument"):
-        run()
+        DRIVERS[driver]()
+
+
+def test_declared_error_of_a_measure_becomes_failed_row(monkeypatch):
+    # a level error of a measure (here the H1 alignment of the eigenfunction
+    # study) fails its level only, like one of the solve
+    _failing(monkeypatch, eigenfunction, "h1_error",
+             SingularAlignmentError("Gram matrix is singular"))
+    table = DRIVERS["eigenfunction"]()
+    failed = [r for r in table.rows if r.failed]
+    assert [r.level for r in failed] == [1]
+    assert failed[0].reason == "SingularAlignmentError: Gram matrix is singular"
+    assert [r.level for r in table.ok_rows] == [0, 2, 3]
+    assert all(r.reason == "" and len(r.values) for r in table.ok_rows)
+
+
+def test_programming_error_of_a_measure_propagates(monkeypatch):
+    _failing(monkeypatch, adaptive, "residual_estimator",
+             TypeError("bad estimator argument"))
+    with pytest.raises(TypeError, match="bad estimator argument"):
+        DRIVERS["adaptive"]()
 
 
 # ----------------------------------------------------------------- CSV files

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from defectbench.analytic1d import ModelParams
-from defectbench.bench import adaptive
+from defectbench.bench import convergence
 from defectbench.bench.adaptive import adaptive_loop
 from defectbench.bench.cases import CASES
 from defectbench.bench.convergence import INITIAL_SQUARE_DIVISIONS
@@ -19,7 +19,6 @@ from defectbench.eigensolve import (
     eigs_near,
     factorize_shifted,
     mean_of_cluster,
-    select_cluster,
 )
 from defectbench.bench.convergence import build_pencil_1d
 from defectbench.fem import Pencil, assemble_interval, assemble_tensor
@@ -48,10 +47,9 @@ def _diag_pencil(diag):
 def test_diagonal_pencil_exact():
     pencil = _diag_pencil(np.arange(1.0, 101.0))
     spec = eigs_near(pencil, 37.2, 3)
-    idx = select_cluster(spec, 37.2, 3)
-    got = np.sort(spec.values[idx].real)
+    got = np.sort(spec.values.real)
     assert np.allclose(got, [36.0, 37.0, 38.0], atol=1e-10)
-    assert np.max(spec.residuals[idx]) < 1e-10
+    assert np.max(spec.residuals) < 1e-10
 
 
 def test_shift_equal_to_eigenvalue_is_recovered():
@@ -59,8 +57,7 @@ def test_shift_equal_to_eigenvalue_is_recovered():
     # must nudge the shift and still converge
     pencil = _diag_pencil(np.arange(1.0, 51.0))
     spec = eigs_near(pencil, 25.0, 1)
-    idx = select_cluster(spec, 25.0, 1)
-    assert abs(spec.values[idx][0] - 25.0) < 1e-10
+    assert abs(spec.values[0] - 25.0) < 1e-10
 
 
 @pytest.mark.parametrize("p,n_dof", [(1, 256), (2, 128), (1, 16)])
@@ -76,8 +73,7 @@ def test_shift_on_discrete_eigenvalue_returns_cluster(p, n_dof):
     dense = sla.eig(pencil.A.toarray(), pencil.B.toarray(), right=False)
     cluster = dense[np.argsort(np.abs(dense - REGULAR_LAMBDA))[:3]]
     for sigma in cluster:
-        spec = eigs_near(pencil, sigma, 3)
-        got = spec.values[select_cluster(spec, REGULAR_LAMBDA, 3)]
+        got = eigs_near(pencil, sigma, 3).values
         for lam in cluster:
             assert np.min(np.abs(got - lam)) < 1e-5 * abs(lam)
 
@@ -184,15 +180,14 @@ def test_nearest_cluster_on_the_tightest_gap_pencils(monkeypatch):
         pencils.append(pencil)
         return eigs_near(pencil, *args)
 
-    monkeypatch.setattr(adaptive, "eigs_near", recording)
+    monkeypatch.setattr(convergence, "eigs_near", recording)
     adaptive_loop(case, max_dofs=29)
     assert [p.n for p in pencils] == [64, 16, 22, 29]
     m = case.m_alg
     for pencil in pencils:
         dense = sla.eig(pencil.A.toarray(), pencil.B.toarray(), right=False)
         ref = dense[np.argsort(np.abs(dense - case.target))[:m]]
-        spec = eigs_near(pencil, case.target, m)
-        got = spec.values[select_cluster(spec, case.target, m)]
+        got = eigs_near(pencil, case.target, m).values
         assert (abs(mean_of_cluster(got) - mean_of_cluster(ref))
                 < 5e-14 * abs(case.target))
 
@@ -216,8 +211,7 @@ def test_matches_dense_solver_on_coarse_fem_pencil():
                                REGULAR, 1)
     dense = sla.eig(pencil.A.toarray(), pencil.B.toarray(), right=False)
     spec = eigs_near(pencil, REGULAR_LAMBDA, 3)
-    idx = select_cluster(spec, REGULAR_LAMBDA, 3)
-    for lam in spec.values[idx]:
+    for lam in spec.values:
         assert np.min(np.abs(dense - lam)) < 1e-9 * abs(lam)
 
 
@@ -227,8 +221,8 @@ def test_shift_independence_of_cluster():
     target = REGULAR_LAMBDA
     spec1 = eigs_near(pencil, target, 3)
     spec2 = eigs_near(pencil, target * (1 + 0.05), 3)
-    c1 = np.sort_complex(spec1.values[select_cluster(spec1, target, 3)])
-    c2 = np.sort_complex(spec2.values[select_cluster(spec2, target, 3)])
+    c1 = np.sort_complex(spec1.values)
+    c2 = np.sort_complex(spec2.values)
     assert np.max(np.abs(c1 - c2)) < 1e-8 * abs(target)
 
 
@@ -256,14 +250,6 @@ def test_mean_of_cluster_is_harmonic():
     # mean of the inverses, inverted: {1, 1/3} -> 1/2
     assert mean_of_cluster(np.array([1.0, 1 / 3])) == pytest.approx(0.5)
     assert mean_of_cluster(np.array([2.0 + 0j])) == pytest.approx(2.0)
-
-
-def test_select_cluster_orders_by_distance():
-    class FakeSpec:
-        values = np.array([10.0, 1.0, 3.0, 2.5])
-
-    idx = select_cluster(FakeSpec, 2.6, 2)
-    assert set(FakeSpec.values[idx]) == {2.5, 3.0}
 
 
 # --- nested-dissection ordering of pencils that carry points ---------------

@@ -27,3 +27,25 @@ def test_no_handler_catches_every_exception():
             ):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def _functions_with(tree, hit):
+    """Names of the functions whose body holds a node that satisfies hit."""
+    return [fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+            and any(hit(n) for n in ast.walk(fn))]
+
+
+def test_one_function_solves_and_catches_every_study_level():
+    # a traced benchmark run counts every driver's solves at this one call
+    calls, catches = [], []
+    for path in SOURCES:
+        if path.parent.name != "bench":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        calls += _functions_with(tree, lambda n: isinstance(n, ast.Call)
+                                 and isinstance(n.func, ast.Name)
+                                 and n.func.id == "eigs_near")
+        catches += _functions_with(tree, lambda n: isinstance(
+            n, ast.ExceptHandler) and "LEVEL_ERRORS" in _names(n.type))
+    assert calls == ["solve_level"]
+    assert catches == ["solve_level"]
