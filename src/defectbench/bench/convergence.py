@@ -25,6 +25,7 @@ from ..eigensolve import (
     SingularShiftError,
     eigs_near,
     mean_of_cluster,
+    one_norm,
 )
 from ..fem import assemble_interval, assemble_tensor, assemble_triangles
 from ..fem.error_norms import SingularAlignmentError
@@ -119,9 +120,7 @@ def fit_rate(points, k_last: int, floor: float = 0.0) -> float:
     kept = [(n, e) for n, e in points if e > floor and e > 0.0]
     if len(kept) < 2:
         raise NoFitPointsError("fewer than 2 points above the noise floor")
-    kept = kept[-k_last:] if k_last >= 2 else kept
-    if len(kept) < 2:
-        raise NoFitPointsError("fit window too small")
+    kept = kept[-k_last:]
     logn = np.log([n for n, _ in kept])
     loge = np.log([e for _, e in kept])
     A = np.column_stack([logn, np.ones_like(logn)])
@@ -136,8 +135,7 @@ def solver_floor(pencil) -> float:
     floor scales with eps times the pencil's norm ratio; the factor 100
     envelopes the observed plateaus across degrees and mesh sizes.
     """
-    one = lambda M: float(np.max(np.abs(M).sum(axis=0)))
-    return 100.0 * np.finfo(float).eps * one(pencil.A) / one(pencil.B)
+    return 100.0 * np.finfo(float).eps * one_norm(pencil.A) / one_norm(pencil.B)
 
 
 def level_elements(case: BenchmarkCase, level: int) -> int:

@@ -26,6 +26,7 @@ __all__ = [
     "factorize_shifted",
     "eigs_near",
     "mean_of_cluster",
+    "one_norm",
 ]
 
 DEFAULT_TOL = 1e-9
@@ -38,14 +39,12 @@ class SingularShiftError(RuntimeError):
 
 
 class EigsNotConvergedError(RuntimeError):
-    """Some eigenpair stays above DEFAULT_TOL after the restart and nudge."""
+    """Some eigenpair stays above DEFAULT_TOL at both shifts."""
 
 
 @dataclass
 class ShiftedFactorization:
-    sigma: complex
     lu: object
-    n: int
     perm: np.ndarray | None = None  # unknown factorized at each position
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -129,7 +128,7 @@ def factorize_shifted(pencil: Pencil, sigma: complex) -> ShiftedFactorization:
         if "singular" in str(exc).lower():
             raise SingularShiftError(f"A - sigma B is singular at sigma={sigma}")
         raise
-    return ShiftedFactorization(sigma=sigma, lu=lu, n=M.shape[0], perm=perm)
+    return ShiftedFactorization(lu=lu, perm=perm)
 
 
 @dataclass
@@ -138,10 +137,10 @@ class Spectrum:
     vectors: np.ndarray
     residuals: np.ndarray
     sigma: complex
-    krylov_dim: int  # Arnoldi steps of the accepted attempt
+    krylov_dim: int  # Arnoldi steps of the accepted solve
 
 
-def _one_norm(M) -> float:
+def one_norm(M) -> float:
     return float(np.max(np.abs(M).sum(axis=0)))
 
 
@@ -205,70 +204,54 @@ def _refine_block(op, V, H, f, Y, sigma: complex):
         Z = np.linalg.qr(op(Z))[0]
     S = Z.conj().T @ op(Z)
     theta, Y = np.linalg.eig(S)
-    if np.any(theta == 0):
-        return None
     return sigma + 1.0 / theta, Z @ Y
 
 
 def eigs_near(pencil: Pencil, sigma: complex, m: int) -> Spectrum:
     """The m eigenpairs closest to sigma, residual-certified.
 
-    A shift pathologically close to the spectrum can stall both Arnoldi
-    attempts; the solve is then repeated once, deterministically, at the
-    shift nudged by 1e-6 (1 + |sigma|).
+    A shift on or next to an eigenvalue can make the LU singular or leave
+    the cluster uncertified; moving the shift cures that, a larger Krylov
+    space does not.  So a failed solve at sigma is repeated once at
+    sigma + 1e-6 (1 + |sigma|), from the same start vector and Krylov cap,
+    where a singular LU raises.  Spectrum.sigma is the shift used.
     """
     n = pencil.n
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= {n}, got {m}")
     A, B = pencil.A, pencil.B
-    for retry in (False, True):
-        if retry:
-            sigma = sigma + 1e-6 * (1.0 + abs(sigma))
+    normA, normB = one_norm(A), one_norm(B)
+    rng = np.random.default_rng(0)
+    v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    k = min(n, max(2 * m + 20, 40))
+    for shift in (sigma, sigma + 1e-6 * (1.0 + abs(sigma))):
         try:
-            fact = factorize_shifted(pencil, sigma)
+            fact = factorize_shifted(pencil, shift)
         except SingularShiftError:
-            sigma = sigma + 1e-8 * (1.0 + abs(sigma))
-            fact = factorize_shifted(pencil, sigma)
-
+            if shift != sigma:
+                raise
+            continue
         op = lambda v: fact.solve(B @ v)  # a vector or an n x m block
-        normA, normB = _one_norm(A), _one_norm(B)
-
-        rng = np.random.default_rng(0)
-        v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-
-        k = min(n, max(2 * m + 20, 40))
-        for attempt in range(2):
-            V, H, f = _arnoldi(op, v0, k, m)
-            theta, S = np.linalg.eig(H)
-            nonzero = np.abs(theta) > 1e-14 * np.max(np.abs(theta))
-            lam = np.full_like(theta, np.inf)
-            lam[nonzero] = sigma + 1.0 / theta[nonzero]
-            order = np.argsort(np.abs(lam - sigma), kind="stable")[:m]
-            vecs = V @ S[:, order]
-            vals = lam[order]
-            refined = _refine_block(op, V, H, f, S[:, order], sigma)
-            if refined is not None:
-                vals, vecs = refined
-                reorder = np.argsort(np.abs(vals - sigma), kind="stable")
-                vals, vecs = vals[reorder], vecs[:, reorder]
-            # a shift on an eigenvalue can end the Krylov space below m
-            # vectors (one huge direction makes the rest look invariant):
-            # the missing pairs count as unconverged, so the restart and
-            # the nudge follow
-            res = np.full(m, np.inf)
-            res[: len(vals)] = np.linalg.norm(
-                A @ vecs - (B @ vecs) * vals, axis=0
-            ) / ((normA + np.abs(vals) * normB) * np.linalg.norm(vecs, axis=0))
-            if np.all(res <= DEFAULT_TOL):
-                return Spectrum(values=vals, vectors=_b_normalize(vecs, B),
-                                residuals=res, sigma=sigma,
-                                krylov_dim=V.shape[1])
-            if attempt == 0 and k < n:
-                # one deterministic restart: bigger space, restarted start
-                # vector
-                v0 = vecs.sum(axis=1)
-                v0 = v0 / np.linalg.norm(v0)
-                k = min(n, 2 * k)
+        V, H, f = _arnoldi(op, v0, k, m)
+        theta, S = np.linalg.eig(H)
+        nonzero = np.abs(theta) > 1e-14 * np.max(np.abs(theta))
+        lam = np.full_like(theta, np.inf)
+        lam[nonzero] = shift + 1.0 / theta[nonzero]
+        order = np.argsort(np.abs(lam - shift), kind="stable")[:m]
+        vals, vecs = _refine_block(op, V, H, f, S[:, order], shift)
+        reorder = np.argsort(np.abs(vals - shift), kind="stable")
+        vals, vecs = vals[reorder], vecs[:, reorder]
+        # a shift on an eigenvalue can end the Krylov space below m
+        # vectors (one huge direction makes the rest look invariant): the
+        # missing pairs count as unconverged, so the nudge follows
+        res = np.full(m, np.inf)
+        res[: len(vals)] = np.linalg.norm(
+            A @ vecs - (B @ vecs) * vals, axis=0
+        ) / ((normA + np.abs(vals) * normB) * np.linalg.norm(vecs, axis=0))
+        if np.all(res <= DEFAULT_TOL):
+            return Spectrum(values=vals, vectors=_b_normalize(vecs, B),
+                            residuals=res, sigma=shift,
+                            krylov_dim=V.shape[1])
     raise EigsNotConvergedError(
         f"eigensolver residuals above {DEFAULT_TOL:.1e}: max {res.max():.3e}"
     )

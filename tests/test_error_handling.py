@@ -49,3 +49,18 @@ def test_one_function_solves_and_catches_every_study_level():
             n, ast.ExceptHandler) and "LEVEL_ERRORS" in _names(n.type))
     assert calls == ["solve_level"]
     assert catches == ["solve_level"]
+
+
+def test_eigs_near_has_one_loop_over_its_shifts():
+    # the one recovery of an uncertified solve is the nudged shift: one
+    # loop, one factorization and one Arnoldi run per pass, no restart
+    path = next(p for p in SOURCES if p.name == "eigensolve.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    fn = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)
+              and n.name == "eigs_near")
+    nodes = list(ast.walk(fn))
+    called = [n.func.id for n in nodes if isinstance(n, ast.Call)
+              and isinstance(n.func, ast.Name)]
+    assert called.count("_arnoldi") == 1
+    assert called.count("factorize_shifted") == 1
+    assert sum(isinstance(n, (ast.For, ast.While)) for n in nodes) == 1
