@@ -1,6 +1,6 @@
 """Experiment drivers: convergence tables, sensitivity, adaptivity, CSV."""
 
-from .adaptive import EstimatorField, adaptive_loop, dorfler_mark, residual_estimator
+from .adaptive import adaptive_loop, dorfler_mark, residual_estimator
 from .cases import CASES, REDUCED_CONFIG, REGULAR_CONFIG, BenchmarkCase
 from .convergence import (
     ConvergenceRow,
@@ -33,7 +33,6 @@ __all__ = [
     "SensitivityReport",
     "RootCountError",
     "residual_estimator",
-    "EstimatorField",
     "dorfler_mark",
     "adaptive_loop",
     "eigenfunction_convergence",

@@ -17,8 +17,6 @@ its element coefficients against it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..analytic1d import ModelParams
@@ -28,27 +26,12 @@ from ..meshing import TriMesh, initial_square_triangulation, nvb_refine
 from .cases import BenchmarkCase
 from .convergence import INITIAL_SQUARE_DIVISIONS, ConvergenceTable, solve_level
 
-__all__ = [
-    "EstimatorField",
-    "residual_estimator",
-    "dorfler_mark",
-    "adaptive_loop",
-    "initial_mesh",
-]
-
-
-@dataclass
-class EstimatorField:
-    eta_sq: np.ndarray  # per-triangle indicator, >= 0
-
-    @property
-    def total(self) -> float:
-        return float(np.sum(self.eta_sq))
+__all__ = ["residual_estimator", "dorfler_mark", "adaptive_loop", "initial_mesh"]
 
 
 def residual_estimator(mesh: TriMesh, pairs, params: ModelParams,
-                       p: int = 1) -> EstimatorField:
-    """Cluster residual estimator; primal plus conjugate-adjoint halves.
+                       p: int = 1) -> np.ndarray:
+    """Per-triangle indicators eta_T^2 >= 0, primal plus conjugate-adjoint.
 
     pairs: (eigenvalue, full-DOF coefficient vector) for each cluster member.
     The conjugate-adjoint half (conj(lambda), conj(u), conjugated
@@ -56,7 +39,7 @@ def residual_estimator(mesh: TriMesh, pairs, params: ModelParams,
     primal ones, so it equals the primal half and enters as a factor 2.
     """
     if not pairs:
-        return EstimatorField(eta_sq=np.zeros(mesh.n_triangles))
+        return np.zeros(mesh.n_triangles)
     md = EstimatorMesh.build(mesh, params, p)
     # the mesh data is built once; the pairs are contracted one at a time,
     # so no array carries a cluster axis over every triangle (GBs on fine
@@ -72,23 +55,22 @@ def residual_estimator(mesh: TriMesh, pairs, params: ModelParams,
         + np.bincount(md.sR // 3, 0.5 * jump, minlength=nt)
         + np.bincount(md.robin_s // 3, robin, minlength=nt)
     )
-    return EstimatorField(eta_sq=2.0 * eta)
+    return 2.0 * eta
 
 
-def dorfler_mark(field: EstimatorField, theta: float):
+def dorfler_mark(eta_sq: np.ndarray, theta: float):
     """Minimal set (greedy, ties by index) with theta of the total mass."""
     if not 0.0 < theta <= 1.0:
         raise ValueError(f"theta must be in (0, 1], got {theta}")
-    eta = field.eta_sq
-    total = float(eta.sum())
+    total = float(eta_sq.sum())
     if total == 0.0:
         return []
-    order = np.argsort(-eta, kind="stable")
-    csum = np.cumsum(eta[order])
+    order = np.argsort(-eta_sq, kind="stable")
+    csum = np.cumsum(eta_sq[order])
     k = int(np.searchsorted(csum, theta * total)) + 1
     k = min(k, len(order))
     # never mark zero-indicator triangles (theta = 1 edge case)
-    marked = [int(i) for i in order[:k] if eta[i] > 0.0]
+    marked = [int(i) for i in order[:k] if eta_sq[i] > 0.0]
     return marked
 
 
@@ -118,9 +100,9 @@ def adaptive_loop(case: BenchmarkCase, theta: float = 0.5,
             full = np.zeros(len(pencil.meta["coords"]), dtype=complex)
             full[pencil.free] = u
             pairs.append((lam, full))
-        fld = residual_estimator(mesh, pairs, params, p)
-        marked = dorfler_mark(fld, theta)
-        return {"eta_total": np.sqrt(fld.total)}
+        eta_sq = residual_estimator(mesh, pairs, params, p)
+        marked = dorfler_mark(eta_sq, theta)
+        return {"eta_total": np.sqrt(eta_sq.sum())}
 
     mesh, marked = initial_mesh(max_dofs, p), []
     level = 0

@@ -28,7 +28,7 @@ from ..eigensolve import (
     one_norm,
 )
 from ..fem import assemble_interval, assemble_tensor, assemble_triangles
-from ..fem.error_norms import SingularAlignmentError
+from ..fem.interval import SingularAlignmentError
 from ..meshing import initial_square_triangulation, nvb_refine, uniform_interval_mesh
 from .cases import BenchmarkCase
 
@@ -69,11 +69,14 @@ class ConvergenceRow:
     mean_value: complex
     mean_error: float
     eta_total: float | None = None
-    failed: bool = False
     # solver noise floor at this level: errors below it are plateau, not
     # discretization error (measured model: 100 * eps * ||A||_1 / ||B||_1)
     floor: float = 0.0
     reason: str = ""  # "<ExceptionType>: <message>" of a failed level
+
+    @property
+    def failed(self) -> bool:
+        return bool(self.reason)
 
 
 @dataclass
@@ -177,8 +180,7 @@ def solve_level(level: int, pencil, target: complex, m: int,
         fields = measure(pencil, spectrum) if measure else {}
     except LEVEL_ERRORS as exc:
         return ConvergenceRow(level, 0, 0.0, np.array([]), np.array([]), 0j,
-                              np.nan, failed=True,
-                              reason=f"{type(exc).__name__}: {exc}")
+                              np.nan, reason=f"{type(exc).__name__}: {exc}")
     cluster = spectrum.values
     mean = mean_of_cluster(cluster)
     fields.setdefault("values", cluster)

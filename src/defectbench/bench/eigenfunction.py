@@ -11,7 +11,7 @@ import numpy as np
 
 from ..analytic1d import eigenfunction_jet
 from ..eigensolve import eigs_near  # noqa: F401  perfstudy/tracing.py looks it up here
-from ..fem import Function1D, h1_error
+from ..fem import h1_error
 from .cases import BenchmarkCase
 from .convergence import ConvergenceTable, uniform_study
 
@@ -35,8 +35,7 @@ def eigenfunction_convergence(case: BenchmarkCase, p: int,
 
     def jet_distances(pencil, spectrum):
         best = int(np.argmin(spectrum.residuals))
-        dist = h1_error(Function1D(pencil, spectrum.vectors[:, best]),
-                        jet.value_matrix)
+        dist = h1_error(pencil, spectrum.vectors[:, best], jet.value_matrix)
         return {"errors": np.array([dist[0], dist[-1]]),
                 "mean_error": dist[-1], "floor": 0.0}
 

@@ -27,7 +27,7 @@ from .bench import (CASES, RootCountError, adaptive_loop,
                     write_rates_csv, write_table_csv)
 from .bench.adaptive import initial_mesh
 from .bench.cases import BenchmarkCase
-from .bench.convergence import LEVEL_ERRORS, check_levels
+from .bench.convergence import INITIAL_SQUARE_DIVISIONS, LEVEL_ERRORS, check_levels
 from .paramfind import (DEFECT_ORDERS, LeftAdmissibleRegionError,
                         RankDeficientJacobianError, SolverDivergedError,
                         config_to_json, solve_defect_system, verify_configuration)
@@ -145,6 +145,7 @@ _STUDY_FAMILY = {"convergence": None, "sensitivity": "interval",
 
 def _check_study(args, case: BenchmarkCase):
     """Reject a case, degree, level count or DOF budget the study cannot run,
+    an aligned triangle case whose jump b is not a line of the initial mesh,
     and a parameter set not certified at the case's ascent."""
     family = _STUDY_FAMILY[args.command]
     if family is not None and case.family != family:
@@ -156,6 +157,10 @@ def _check_study(args, case: BenchmarkCase):
         initial_mesh(args.max_dofs, args.p)
     else:
         check_levels(args.levels)
+    b, n = case.config.params.b, INITIAL_SQUARE_DIVISIONS
+    if case.family == "tri" and case.aligned and not float(b * n).is_integer():
+        raise UsageError(f"case {case.id} is aligned, but b = {b:g} is not "
+                         f"a line of the initial {n}x{n} mesh")
     report = verify_configuration(case.config)
     if not report.converged:
         raise UsageError(f"case {case.id}: certified ascent "

@@ -1,12 +1,19 @@
-"""Shared pencil container."""
+"""Shared pencil container and the Gauss-Legendre rule on [0, 1]."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["Pencil"]
+__all__ = ["Pencil", "gauss_legendre"]
+
+
+def gauss_legendre(nq: int):
+    """Points and weights of the nq-point Gauss-Legendre rule on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(nq)
+    return 0.5 * (x + 1.0), 0.5 * w
 
 
 @dataclass

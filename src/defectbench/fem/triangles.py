@@ -20,7 +20,7 @@ import scipy.sparse as sp
 
 from ..analytic1d import ModelParams
 from ..meshing import ROBIN, TriMesh
-from .common import Pencil
+from .common import Pencil, gauss_legendre
 
 __all__ = ["EstimatorMesh", "assemble_triangles", "free_dof_count"]
 
@@ -42,9 +42,8 @@ _QPTS = np.array(
 )
 _QWTS = np.array([_QW1, _QW1, _QW1, _QW2, _QW2, _QW2])
 
-# 3-point Gauss on [0,1] for the Robin edge mass
-_EG_X, _EG_W = np.polynomial.legendre.leggauss(3)
-_EG_X, _EG_W = 0.5 * (_EG_X + 1.0), 0.5 * _EG_W
+# 3-point Gauss on [0,1] for the Robin edge mass and the estimator's edges
+_EG_X, _EG_W = gauss_legendre(3)
 
 # reference vertices; local edges (0,1), (1,2), (2,0)
 _LREF = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])

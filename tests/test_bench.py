@@ -11,7 +11,6 @@ from scipy.optimize import linear_sum_assignment
 from defectbench.analytic1d import Jet, ModelParams, det_transmission
 from defectbench.bench import (
     CASES,
-    EstimatorField,
     NoFitPointsError,
     RootCountError,
     adaptive_loop,
@@ -33,7 +32,7 @@ from defectbench.bench.convergence import (
 from defectbench.bench.io import HEADER, RATES_HEADER, format_float
 from defectbench.bench import adaptive, convergence, eigenfunction, sensitivity
 from defectbench.bench.sensitivity import PairingAmbiguityError, _pair_to
-from defectbench.fem.error_norms import SingularAlignmentError
+from defectbench.fem.interval import SingularAlignmentError
 from defectbench.eigensolve import EigsNotConvergedError, eigs_near
 from defectbench.fem import assemble_tensor, assemble_triangles
 from defectbench.meshing import initial_square_triangulation
@@ -88,24 +87,22 @@ def test_solver_floor_is_positive_and_grows_with_refinement():
 
 
 def test_dorfler_minimal_set():
-    field = EstimatorField(eta_sq=np.array([4.0, 3.0, 2.0, 1.0]))
-    assert dorfler_mark(field, 0.5) == [0, 1]
-    assert dorfler_mark(field, 0.39) == [0]
-    assert dorfler_mark(field, 1.0) == [0, 1, 2, 3]
+    eta_sq = np.array([4.0, 3.0, 2.0, 1.0])
+    assert dorfler_mark(eta_sq, 0.5) == [0, 1]
+    assert dorfler_mark(eta_sq, 0.39) == [0]
+    assert dorfler_mark(eta_sq, 1.0) == [0, 1, 2, 3]
 
 
 def test_dorfler_skips_zero_indicators():
-    field = EstimatorField(eta_sq=np.array([1.0, 0.0, 0.0]))
-    assert dorfler_mark(field, 1.0) == [0]
-    assert dorfler_mark(EstimatorField(eta_sq=np.zeros(3)), 0.5) == []
+    assert dorfler_mark(np.array([1.0, 0.0, 0.0]), 1.0) == [0]
+    assert dorfler_mark(np.zeros(3), 0.5) == []
 
 
 def test_dorfler_theta_validation():
-    field = EstimatorField(eta_sq=np.ones(3))
     with pytest.raises(ValueError):
-        dorfler_mark(field, 0.0)
+        dorfler_mark(np.ones(3), 0.0)
     with pytest.raises(ValueError):
-        dorfler_mark(field, 1.5)
+        dorfler_mark(np.ones(3), 1.5)
 
 
 # ---------------------------------------------------------------- estimator
@@ -129,30 +126,29 @@ def test_estimator_zero_input_is_zero():
     mesh = initial_square_triangulation(2)
     params = ModelParams(b=0.5, a_R=1.0 + 0j, c=0j)
     zero = np.zeros(len(mesh.vertices), dtype=complex)
-    field = residual_estimator(mesh, [(1.0 + 0j, zero)], params, p=1)
-    assert field.total == 0.0
-    assert residual_estimator(mesh, [], params, p=1).total == 0.0
+    eta_sq = residual_estimator(mesh, [(1.0 + 0j, zero)], params, p=1)
+    assert eta_sq.sum() == 0.0
+    assert residual_estimator(mesh, [], params, p=1).sum() == 0.0
 
 
 def test_estimator_conjugation_symmetry():
     # the estimator is primal + conjugate-adjoint: conjugating every input
     # swaps the two halves and must leave each indicator unchanged
     mesh, pairs, params = _tri_cluster()
-    field = residual_estimator(mesh, pairs, params)
+    eta_sq = residual_estimator(mesh, pairs, params)
     conj_pairs = [(np.conj(lam), np.conj(u)) for lam, u in pairs]
     conj_params = ModelParams(b=params.b, a_R=np.conj(params.a_R),
                               c=np.conj(params.c))
-    conj_field = residual_estimator(mesh, conj_pairs, conj_params)
-    assert np.max(np.abs(field.eta_sq - conj_field.eta_sq)) < \
-        1e-12 * field.total
+    conj_eta_sq = residual_estimator(mesh, conj_pairs, conj_params)
+    assert np.max(np.abs(eta_sq - conj_eta_sq)) < 1e-12 * eta_sq.sum()
 
 
 def test_estimator_positive_on_true_cluster():
     mesh, pairs, params = _tri_cluster()
-    field = residual_estimator(mesh, pairs, params)
-    assert field.total > 0
-    assert np.all(field.eta_sq >= 0)
-    assert len(field.eta_sq) == mesh.n_triangles
+    eta_sq = residual_estimator(mesh, pairs, params)
+    assert eta_sq.sum() > 0
+    assert np.all(eta_sq >= 0)
+    assert len(eta_sq) == mesh.n_triangles
 
 
 # indicators of _tri_cluster(n0=4, p) computed by the earlier implementation,
@@ -190,17 +186,17 @@ _GOLDEN_ETA_P2 = np.array([
                                       (2, _GOLDEN_ETA_P2)])
 def test_estimator_matches_recorded_indicators(p, golden):
     mesh, pairs, params = _tri_cluster(n0=4, p=p)
-    field = residual_estimator(mesh, pairs, params, p=p)
-    assert np.max(np.abs(field.eta_sq - golden)) <= 1e-12 * golden.sum()
+    eta_sq = residual_estimator(mesh, pairs, params, p=p)
+    assert np.max(np.abs(eta_sq - golden)) <= 1e-12 * golden.sum()
 
 
 @pytest.mark.parametrize("p", [1, 2])
 def test_estimator_is_additive_over_pairs(p):
     mesh, pairs, params = _tri_cluster(n0=4, p=p)
-    field = residual_estimator(mesh, pairs, params, p=p)
-    summed = sum(residual_estimator(mesh, [pair], params, p=p).eta_sq
+    eta_sq = residual_estimator(mesh, pairs, params, p=p)
+    summed = sum(residual_estimator(mesh, [pair], params, p=p)
                  for pair in pairs)
-    assert np.max(np.abs(field.eta_sq - summed)) <= 1e-12 * field.total
+    assert np.max(np.abs(eta_sq - summed)) <= 1e-12 * eta_sq.sum()
 
 
 def test_adaptive_loop_reduces_error_and_estimator():

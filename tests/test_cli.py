@@ -171,6 +171,20 @@ def test_study_the_case_cannot_run_is_usage_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("b", ["0.4", "0.3"])
+def test_aligned_triangle_case_needs_b_on_the_initial_mesh(no_computation,
+                                                           capsys, b):
+    # the triangle meshes have lines at multiples of 1/4 only, so the
+    # jump would cut triangles of a case that claims aligned meshes
+    assert run(["convergence", "--case", "regular2d_tri", "--b", b,
+                "--levels", "5"]) == 2
+    assert f"b = {b} is not a line" in capsys.readouterr().err
+    # the tensor meshes force a node at any b: certification is reached
+    with pytest.raises(AssertionError, match="computation started"):
+        run(["convergence", "--case", "regular2d_tensor", "--b", b,
+             "--levels", "5"])
+
+
 def test_failed_level_is_named_and_exits_1(tmp_path, capsys, monkeypatch):
     calls = []
 
@@ -298,7 +312,7 @@ def test_malformed_config_value_is_named(no_computation, tmp_path, capsys,
      "error: case regular1d: certified ascent 3, not 2"),
     (["convergence", "--case", "regular1d", "--defect", "4", "--levels", "8"],
      "error: case regular1d: certified ascent 3, not 4"),
-    (["convergence", "--case", "regular2d_tri", "--b", "0.4", "--levels", "3"],
+    (["convergence", "--case", "regular2d_tri", "--b", "0.25", "--levels", "3"],
      "error: case regular2d_tri: certified ascent 0, not 3"),
     (["sensitivity", "--case", "regular1d", "--defect", "2"],
      "certified ascent 3, not 2"),

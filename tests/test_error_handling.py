@@ -1,4 +1,6 @@
-"""Library code catches only declared failures, never every exception."""
+"""Library structure: code catches only declared failures, never every
+exception; one function solves every study level; modules share no
+private names."""
 
 import ast
 import pathlib
@@ -64,3 +66,18 @@ def test_eigs_near_has_one_loop_over_its_shifts():
     assert called.count("_arnoldi") == 1
     assert called.count("factorize_shifted") == 1
     assert sum(isinstance(n, (ast.For, ast.While)) for n in nodes) == 1
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # an underscore name belongs to its module: a second user means the
+    # decision it makes has two owners
+    offenders = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").startswith("defectbench")
+            ):
+                offenders += [f"{path.name}:{node.lineno} {a.name}"
+                              for a in node.names if a.name.startswith("_")]
+    assert offenders == []

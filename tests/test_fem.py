@@ -8,15 +8,14 @@ import scipy.sparse as sp
 from defectbench.analytic1d import ModelParams, eigenfunction_jet
 from defectbench.eigensolve import eigs_near
 from defectbench.fem import (
-    Function1D,
     Pencil,
     assemble_interval,
     assemble_tensor,
+    assemble_triangles,
     h1_error,
 )
-from defectbench.fem.error_norms import SingularAlignmentError, _quad_points
-from defectbench.fem.interval import lagrange_basis
-from defectbench.meshing import uniform_interval_mesh
+from defectbench.fem.interval import SingularAlignmentError, lagrange_basis, segments
+from defectbench.meshing import initial_square_triangulation, uniform_interval_mesh
 
 UNIT = ModelParams(b=0.5, a_R=1.0 + 0j, c=0.0 + 0j)
 
@@ -156,33 +155,29 @@ def test_tensor_size_guard():
         assemble_tensor(p1d, 3)
 
 
-def test_function1d_reproduces_p1_interpolant():
-    pencil = assemble_interval(uniform_interval_mesh(8), UNIT, 1)
-    node_x = pencil.meta["node_x"]
-    vec = node_x[pencil.free].astype(complex)  # nodal values of u(x) = x
-    u_h = Function1D(pencil, vec)
-    x = np.linspace(0.0, 1.0, 33)
-    v, d = u_h(x)
-    assert np.max(np.abs(v - x)) < 1e-13
+def test_segments_reproduce_p1_interpolant():
+    mesh = uniform_interval_mesh(8)
+    node_x = assemble_interval(mesh, UNIT, 1).meta["node_x"]
+    seg = segments(mesh, 1 / 3, 1, 3)  # b = 1/3 splits one element
+    coef = node_x[seg.dofs].T[:, :, None]  # nodal values of u(x) = x
+    v, d = np.sum(coef * seg.phi, axis=0), np.sum(coef * seg.dphi, axis=0)
+    assert np.max(np.abs(v - seg.x)) < 1e-13
     assert np.max(np.abs(d - 1.0)) < 1e-12
     # H1 norm of x on (0,1): sqrt(1/3 + 1)
-    xq, wq = _quad_points(u_h)
-    vq, dq = u_h(xq)
-    norm = np.sqrt(np.sum(wq * (np.abs(vq) ** 2 + np.abs(dq) ** 2)))
+    norm = np.sqrt(np.sum(seg.w * (np.abs(v) ** 2 + np.abs(d) ** 2)))
     assert norm == pytest.approx(np.sqrt(4 / 3))
 
 
 def test_h1_error_against_exact_evaluator():
     pencil = assemble_interval(uniform_interval_mesh(8), UNIT, 1)
-    node_x = pencil.meta["node_x"]
-    u_h = Function1D(pencil, node_x[pencil.free].astype(complex))
+    vec = pencil.meta["node_x"][pencil.free].astype(complex)
 
     def linear(x):
         x = np.asarray(x, dtype=float)
         return x.astype(complex), np.ones_like(x, dtype=complex)
 
     # identical function up to any complex scale: aligned error vanishes
-    assert h1_error(u_h, linear)[0] < 1e-12
+    assert h1_error(pencil, vec, linear)[0] < 1e-12
 
     def sine(x):
         x = np.asarray(x, dtype=float)
@@ -192,43 +187,70 @@ def test_h1_error_against_exact_evaluator():
         (sv, sd), (lv, ld) = sine(x), linear(x)
         return np.stack([sv, lv]), np.stack([sd, ld])
 
-    err_single = h1_error(u_h, sine)[0]
-    err_span = h1_error(u_h, sine_linear)[-1]
+    err_single = h1_error(pencil, vec, sine)[0]
+    err_span = h1_error(pencil, vec, sine_linear)[-1]
     assert err_span <= err_single + 1e-14
     assert err_span < 1e-12  # linear member matches exactly
 
 
-def _quad_points_loop(func):
-    """Reference: the earlier per-element segment loop."""
-    b = func.pencil.meta["params"].b
-    gx, gw = np.polynomial.legendre.leggauss(func.p + 2)
+def test_h1_error_needs_an_interval_pencil():
+    pencil = assemble_triangles(initial_square_triangulation(2), UNIT, 1)
+    with pytest.raises(ValueError, match="interval pencil"):
+        h1_error(pencil, np.zeros(pencil.n, dtype=complex), None)
+
+
+def _segments_loop(mesh, b, p, nq):
+    """Reference: per-element segment loop, in element order."""
+    vals, ders = lagrange_basis(p)
+    gx, gw = np.polynomial.legendre.leggauss(nq)
     gx, gw = 0.5 * (gx + 1.0), 0.5 * gw
-    pts, wts = [], []
-    for xl, xr in zip(func.mesh.nodes[:-1], func.mesh.nodes[1:]):
+    dofs, pts, wts, phi, dphi = [], [], [], [], []
+    for k, (xl, xr) in enumerate(zip(mesh.nodes[:-1], mesh.nodes[1:])):
         segs = [(xl, b), (b, xr)] if xl < b < xr else [(xl, xr)]
         for sl, sr in segs:
-            pts.append(sl + (sr - sl) * gx)
+            x = sl + (sr - sl) * gx
+            dofs.append(k * p + np.arange(p + 1))
+            pts.append(x)
             wts.append((sr - sl) * gw)
-    return np.concatenate(pts), np.concatenate(wts)
+            phi.append(vals((x - xl) / (xr - xl)))
+            dphi.append(ders((x - xl) / (xr - xl)) / (xr - xl))
+    return (np.array(dofs), np.array(pts), np.array(wts),
+            np.stack(phi, axis=1), np.stack(dphi, axis=1))
 
 
-@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("p", [1, 2, 3])
 @pytest.mark.parametrize("b", [0.5, 1 / 3], ids=["aligned", "cut"])
 def test_quad_points_match_element_loop(p, b):
-    params = ModelParams(b=b, a_R=REGULAR.a_R, c=REGULAR.c)
-    pencil = assemble_interval(uniform_interval_mesh(8), params, p)
-    u_h = Function1D(pencil, np.zeros(pencil.n, dtype=complex))
-    x, w = _quad_points(u_h)
-    x_ref, w_ref = _quad_points_loop(u_h)
-    assert len(x) == (p + 2) * (8 + (b != 0.5))
-    assert np.array_equal(x, x_ref) and np.array_equal(w, w_ref)
+    mesh = uniform_interval_mesh(8)
+    seg = segments(mesh, b, p, p + 2)
+    assert seg.x.shape == (8 + (b != 0.5), p + 2)
+    order = np.argsort(seg.x[:, 0])  # the loop keeps a cut element's halves together
+    got = (seg.dofs[order], seg.x[order], seg.w[order], seg.phi[:, order],
+           seg.dphi[:, order])
+    for g, ref in zip(got, _segments_loop(mesh, b, p, p + 2)):
+        assert np.array_equal(g, ref)
 
 
-def _h1_error_lstsq(u_h, evaluators):
+def _evaluate(pencil, vec, x):
+    """Reference values and slopes of u_h at points x, element by search."""
+    p, xs = pencil.meta["p"], pencil.meta["mesh"].nodes
+    full = np.zeros(len(pencil.meta["node_x"]), dtype=complex)
+    full[pencil.free] = vec
+    k = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(xs) - 2)
+    h = xs[k + 1] - xs[k]
+    vals, ders = lagrange_basis(p)
+    t = (x - xs[k]) / h
+    c = full[k[None, :] * p + np.arange(p + 1)[:, None]]
+    return np.sum(c * vals(t), axis=0), np.sum(c * ders(t) / h, axis=0)
+
+
+def _h1_error_lstsq(pencil, vec, evaluators):
     """Reference: the earlier lstsq distance to span{evaluators}."""
-    x, wq = _quad_points_loop(u_h)
+    mesh, b, p = pencil.meta["mesh"], pencil.meta["params"].b, pencil.meta["p"]
+    _, x, wq, _, _ = _segments_loop(mesh, b, p, p + 2)
+    x, wq = x.ravel(), wq.ravel()
     sq = np.sqrt(wq)
-    uv, ud = u_h(x)
+    uv, ud = _evaluate(pencil, vec, x)
     rhs = np.concatenate([sq * uv, sq * ud])
     cols = []
     for wi in evaluators:
@@ -251,9 +273,9 @@ def test_nested_h1_distances_match_prefix_lstsq(p, n_el):
         lambda x, j=j: tuple(a[j] for a in jet.value_matrix(x)) for j in range(3)
     ]
     for i in range(3):
-        u_h = Function1D(pencil, spec.vectors[:, i])
-        dist = h1_error(u_h, jet.value_matrix)
-        ref = [_h1_error_lstsq(u_h, members[: j + 1]) for j in range(3)]
+        vec = spec.vectors[:, i]
+        dist = h1_error(pencil, vec, jet.value_matrix)
+        ref = [_h1_error_lstsq(pencil, vec, members[: j + 1]) for j in range(3)]
         assert np.all(np.abs(dist - ref) <= 1e-12 * np.array(ref))
         assert np.all(np.diff(dist) <= 1e-14)
 
@@ -262,7 +284,7 @@ def test_repeated_span_member_raises_singular_alignment():
     pencil = assemble_interval(uniform_interval_mesh(16, force_node=0.5),
                                REGULAR, 1)
     spec = eigs_near(pencil, REGULAR_LAMBDA, 3)
-    u_h = Function1D(pencil, spec.vectors[:, 0])
+    vec = spec.vectors[:, 0]
     jet = eigenfunction_jet(REGULAR, REGULAR_LAMBDA, 3)
 
     def repeated(x, eps=0.0):
@@ -272,11 +294,11 @@ def test_repeated_span_member_raises_singular_alignment():
                 np.vstack([ders, ders[:1] + eps]))
 
     with pytest.raises(SingularAlignmentError):
-        h1_error(u_h, repeated)
+        h1_error(pencil, vec, repeated)
     # the bound is on cond(Gram) = cond(R)^2: at eps = 1e-8 cond(R) is
     # about 1e9, far below 1e15, but its square is above
     with pytest.raises(SingularAlignmentError):
-        h1_error(u_h, lambda x: repeated(x, 1e-8))
+        h1_error(pencil, vec, lambda x: repeated(x, 1e-8))
 
 
 def test_pencil_shape_validation():
